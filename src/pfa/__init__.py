@@ -18,6 +18,7 @@ from .factors import (
     fdp_limit,
     fdp_numerator,
     select_num_factors,
+    standard_factor_draws,
     variance_of_false_count,
 )
 from .fdr import (
@@ -29,6 +30,7 @@ from .fdr import (
     efron_estimate,
     solve_threshold,
     storey_estimate,
+    storey_procedure,
 )
 from .gauss import norm_cdf, norm_pdf, norm_quantile, two_sided_pvalue
 from .lad import (
@@ -50,10 +52,8 @@ from .linalg import (
     tail_energy,
 )
 from .simulate import (
-    GeneratedInstance,
     Scenario,
     generate_design,
-    make_test_statistics,
     realized_counts,
     sample_correlation,
 )
@@ -80,6 +80,7 @@ __all__ = [
     "fdp_numerator",
     "fdp_limit",
     "estimate_fdp",
+    "standard_factor_draws",
     "variance_of_false_count",
     "CalibrationSet",
     "FactorFit",
@@ -93,12 +94,11 @@ __all__ = [
     "approx_fdr",
     "solve_threshold",
     "bh_procedure",
+    "storey_procedure",
     "storey_estimate",
     "efron_estimate",
     "Scenario",
-    "GeneratedInstance",
     "generate_design",
     "sample_correlation",
-    "make_test_statistics",
     "realized_counts",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .factors import build_factor_model, select_num_factors
+from .factors import build_factor_model, select_num_factors, standard_factor_draws
 from .fdr import UnreachableAlphaError, approx_fdr, solve_threshold
 from .harness import (
     ExperimentConfig,
@@ -122,9 +122,10 @@ def _cmd_control(args: argparse.Namespace) -> int:
             args.out,
         )
         return EXIT_UNREACHABLE
+    draws = standard_factor_draws(k, args.mc, args.seed)
     grid = np.logspace(-10, np.log10(0.5), 40)
     curve = [
-        {"t": float(t), "fdr": approx_fdr(float(t), model, args.p1, n_mc=args.mc, seed=args.seed)}
+        {"t": float(t), "fdr": approx_fdr(float(t), model, args.p1, draws)}
         for t in grid
     ]
     _emit(

@@ -29,6 +29,7 @@ __all__ = [
     "fdp_numerator",
     "fdp_limit",
     "estimate_fdp",
+    "standard_factor_draws",
     "variance_of_false_count",
 ]
 
@@ -231,19 +232,17 @@ def standard_factor_draws(k: int, n_mc: int, seed: int) -> np.ndarray:
 def variance_of_false_count(
     t: float,
     model: FactorModel,
-    subset: np.ndarray | None,
-    n_mc: int,
-    seed: int,
+    draws: np.ndarray,
+    subset: np.ndarray | None = None,
 ) -> float:
     """Monte-Carlo variance of the false-count numerator over factor draws.
 
-    Deterministic for a given seed. Exactly 0 for k = 0, where the numerator
-    does not depend on the factors.
+    `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 2. Exactly
+    0 for k = 0, where the numerator does not depend on the factors.
     """
-    if n_mc < 2:
-        raise ValueError(f"n_mc must be at least 2, got {n_mc}")
+    if draws.shape[0] < 2:
+        raise ValueError(f"need at least 2 factor draws, got {draws.shape[0]}")
     if model.k == 0:
         return 0.0
-    draws = standard_factor_draws(model.k, n_mc, seed)
     values = numerator_over_draws(t, model, draws, subset=subset)
     return float(np.var(values, ddof=1))

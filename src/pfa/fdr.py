@@ -7,8 +7,9 @@ A single draw matrix is shared across threshold values (common random
 numbers), which makes the estimated curve monotone in t and bisection for
 a target rate well posed.
 
-Baselines: Benjamini-Hochberg step-up, Storey's fixed-threshold estimate,
-and a dispersion-variate estimate in the style of Efron (2007). The exact
+Baselines: Benjamini-Hochberg step-up, Storey's fixed-threshold estimate
+and his adaptive step-up, and a dispersion-variate estimate in the style of
+Efron (2007). The exact
 recipe Efron uses to estimate the dispersion variate is not reproduced
 here; see `efron_estimate` for the moment-matching stand-in this module
 uses instead.
@@ -36,9 +37,9 @@ __all__ = [
     "approx_fdr",
     "solve_threshold",
     "bh_procedure",
+    "storey_procedure",
     "storey_estimate",
     "efron_estimate",
-    "dispersion_diagnostic",
 ]
 
 _T_LOW = 1e-12
@@ -72,7 +73,11 @@ class ControlResult:
 
 @dataclass(frozen=True)
 class RejectionSet:
-    """Indices rejected by a procedure and the p-value threshold it used."""
+    """Indices a step-up procedure rejects, and its threshold.
+
+    The rejections are exactly the p-values at or below `threshold`, the
+    largest rejected p-value (0.0 when none is rejected).
+    """
 
     indices: np.ndarray
     threshold: float
@@ -82,7 +87,21 @@ class RejectionSet:
         return self.indices.shape[0]
 
 
-def _fdr_from_draws(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> float:
+def approx_fdr(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> float:
+    """Approximate FDR at threshold t with p1 false nulls assumed known.
+
+    The expectation runs over the rows of `draws`, an (n, k) matrix from
+    `standard_factor_draws`; sharing one matrix across thresholds makes the
+    curve monotone in t. For k = 0 it collapses to p*t / (p*t + p1) exactly
+    and the draws are not used.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {t}")
+    if not 0 <= p1 <= model.p:
+        raise ValueError(f"p1 must lie in [0, {model.p}], got {p1}")
+    if model.k == 0:
+        numerator = model.p * t
+        return numerator / (numerator + p1)
     numerators = numerator_over_draws(t, model, draws)
     totals = numerators + p1
     ratios = np.divide(
@@ -92,33 +111,6 @@ def _fdr_from_draws(t: float, model: FactorModel, p1: int, draws: np.ndarray) ->
         where=totals > 0.0,
     )
     return float(np.mean(ratios))
-
-
-def approx_fdr(
-    t: float,
-    model: FactorModel,
-    p1: int,
-    n_mc: int = 10000,
-    seed: int = 0,
-    draws: np.ndarray | None = None,
-) -> float:
-    """Approximate FDR at threshold t with p1 false nulls assumed known.
-
-    For k = 0 the expectation collapses to p*t / (p*t + p1) exactly and no
-    draws are used. Passing `draws` shares one draw matrix across calls.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    if not 0 <= p1 <= model.p:
-        raise ValueError(f"p1 must lie in [0, {model.p}], got {p1}")
-    if model.k == 0:
-        numerator = model.p * t
-        return numerator / (numerator + p1)
-    if draws is None:
-        if n_mc < 1:
-            raise ValueError(f"n_mc must be positive, got {n_mc}")
-        draws = standard_factor_draws(model.k, n_mc, seed)
-    return _fdr_from_draws(t, model, p1, draws)
 
 
 def solve_threshold(
@@ -138,12 +130,12 @@ def solve_threshold(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    draws = None
-    if model.k > 0:
-        draws = standard_factor_draws(model.k, n_mc, seed)
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be positive, got {n_mc}")
+    draws = standard_factor_draws(model.k, n_mc, seed)
 
     def curve(t: float) -> float:
-        return approx_fdr(t, model, p1, n_mc=n_mc, seed=seed, draws=draws)
+        return approx_fdr(t, model, p1, draws)
 
     low, high = _T_LOW, _T_HIGH
     fdr_high = curve(high)
@@ -166,31 +158,46 @@ def solve_threshold(
     return ControlResult(alpha=alpha, t_star=mid, fdr_at_t=fdr_mid, mc_draws=n_mc, seed=seed)
 
 
+def _step_up(pvalues: np.ndarray, alpha: float, null_count: float) -> RejectionSet:
+    """Reject through the largest order statistic P_(i) <= alpha * i / null_count."""
+    sorted_p = np.sort(pvalues)
+    with np.errstate(divide="ignore"):  # a null count of 0 makes every bar infinite
+        bars = alpha * np.arange(1, pvalues.shape[0] + 1) / null_count
+    passing = np.flatnonzero(sorted_p <= bars)
+    if passing.size == 0:
+        return RejectionSet(indices=np.empty(0, dtype=np.intp), threshold=0.0)
+    threshold = float(sorted_p[passing[-1]])
+    return RejectionSet(indices=np.flatnonzero(pvalues <= threshold), threshold=threshold)
+
+
 def bh_procedure(pvalues: np.ndarray, alpha: float) -> RejectionSet:
     """Benjamini-Hochberg step-up at level alpha."""
     pvalues = np.asarray(pvalues, dtype=float)
-    p = pvalues.shape[0]
-    order = np.argsort(pvalues, kind="stable")
-    passing = np.flatnonzero(pvalues[order] <= alpha * np.arange(1, p + 1) / p)
-    if passing.size == 0:
-        return RejectionSet(indices=np.empty(0, dtype=np.intp), threshold=0.0)
-    k_hat = int(passing[-1]) + 1
-    cutoff = k_hat * alpha / p
-    return RejectionSet(indices=np.flatnonzero(pvalues <= cutoff), threshold=cutoff)
+    return _step_up(pvalues, alpha, pvalues.shape[0])
+
+
+def _null_count(pvalues: np.ndarray, lambda_param: float) -> float:
+    """Storey's p0_hat = #{P_i > lambda} / (1 - lambda), capped at p."""
+    if not 0.0 < lambda_param < 1.0:
+        raise ValueError(f"lambda must lie in (0, 1), got {lambda_param}")
+    return min(np.count_nonzero(pvalues > lambda_param) / (1.0 - lambda_param), float(pvalues.shape[0]))
+
+
+def storey_procedure(pvalues: np.ndarray, alpha: float, lambda_param: float = 0.5) -> RejectionSet:
+    """Storey's adaptive step-up at level alpha: B-H with p replaced by p0_hat.
+
+    Since p0_hat <= p, each bar alpha * i / p0_hat is at least B-H's (the
+    same float when the cap fires), so the rejections include B-H's.
+    """
+    pvalues = np.asarray(pvalues, dtype=float)
+    return _step_up(pvalues, alpha, _null_count(pvalues, lambda_param))
 
 
 def storey_estimate(pvalues: np.ndarray, t: float, lambda_param: float = 0.5) -> float:
-    """Storey's fixed-threshold FDR estimate p0_hat * t / (R(t) v 1).
-
-    p0_hat = #{P_i > lambda} / (1 - lambda), capped into [0, p].
-    """
-    if not 0.0 < lambda_param < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lambda_param}")
+    """Storey's fixed-threshold FDR estimate p0_hat * t / (R(t) v 1)."""
     pvalues = np.asarray(pvalues, dtype=float)
-    p = pvalues.shape[0]
-    p0_hat = min(np.count_nonzero(pvalues > lambda_param) / (1.0 - lambda_param), float(p))
     n_rejected = int(np.count_nonzero(pvalues <= t))
-    return float(p0_hat * t / max(n_rejected, 1))
+    return float(_null_count(pvalues, lambda_param) * t / max(n_rejected, 1))
 
 
 @lru_cache(maxsize=None)
@@ -242,17 +249,3 @@ def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
     z_half = norm_quantile(0.5 * t)
     est_false = p0 * t * (1.0 + 2.0 * a_hat * (-z_half) * norm_pdf(z_half) / (np.sqrt(2.0) * t))
     return float(np.clip(est_false / n_rejected, 0.0, 1.0))
-
-
-def dispersion_diagnostic(model: FactorModel, eta: np.ndarray, true_nulls: np.ndarray) -> float:
-    """Dispersion variate implied by a factor realization on the null set.
-
-    (sqrt(2) * p0)^(-1) * sum over true nulls of (eta_i^2 - E eta_i^2);
-    a diagnostic linking the factor realization to the scalar-dispersion
-    view of correlation, not used by any estimator.
-    """
-    eta = np.asarray(eta, dtype=float)
-    true_nulls = np.asarray(true_nulls, dtype=np.intp)
-    expected = np.sum(np.square(model.loadings), axis=1)
-    centered = np.square(eta[true_nulls]) - expected[true_nulls]
-    return float(np.sum(centered) / (np.sqrt(2.0) * true_nulls.size))

@@ -18,7 +18,8 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,15 @@ from scipy.stats import ks_2samp
 from . import __version__
 from .factors import (
     FactorModel,
+    FactorRealization,
     build_factor_model,
     estimate_fdp,
     fdp_limit,
-    FactorRealization,
-    numerator_over_draws,
     select_num_factors,
     standard_factor_draws,
+    variance_of_false_count,
 )
-from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate
+from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, spectral_decompose, symmetric_sqrt
@@ -135,29 +136,21 @@ class ExperimentConfig:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         if self.placement not in ("first", "random"):
             raise ValueError(f"placement must be 'first' or 'random', got {self.placement!r}")
+        if self.n_mc < 2:
+            raise ValueError(f"n_mc must be at least 2, got {self.n_mc}")
+        if not 0.0 < self.calibration_fraction <= 1.0:
+            raise ValueError(f"calibration_fraction must lie in (0, 1], got {self.calibration_fraction}")
+        for name in ("control_alpha", "storey_lambda"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "t_grid": list(self.t_grid),
-            "n_reps": self.n_reps,
-            "seed": self.seed,
-            "n_mc": self.n_mc,
-            "epsilon": self.epsilon,
-            "calibration_fraction": self.calibration_fraction,
-            "placement": self.placement,
-            "with_estimators": self.with_estimators,
-            "control_alpha": self.control_alpha,
-            "efron_x0": self.efron_x0,
-            "storey_lambda": self.storey_lambda,
-        }
+        return {**asdict(self), "t_grid": list(self.t_grid)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        scenario = Scenario.from_dict(data.pop("scenario"))
-        data["t_grid"] = tuple(data["t_grid"])
-        return cls(scenario=scenario, **data)
+        return cls(**{**data, "scenario": Scenario.from_dict(data["scenario"])})
 
 
 @dataclass(frozen=True)
@@ -165,6 +158,7 @@ class ScenarioState:
     """Per-experiment fixed state: design summary, factor model, shifts."""
 
     scenario: Scenario
+    key: tuple[int, ...]
     sigma_hat: CorrelationMatrix
     sds: np.ndarray
     root: np.ndarray
@@ -187,9 +181,14 @@ class ExperimentOutput:
     aggregates: dict
 
 
-def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
-    """Draw the design, build the factor model, place the false nulls."""
-    rng = substream(config.seed, _NS_DESIGN)
+def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> ScenarioState:
+    """Draw the design, build the factor model, place the false nulls.
+
+    `key` prefixes the design and replication substreams, which sets them
+    apart from those of other scenarios built under the same seed
+    (run_convergence keys one per dimension).
+    """
+    rng = substream(config.seed, _NS_DESIGN, *key)
     design = generate_design(config.scenario, rng)
     sigma_hat, sds = sample_correlation(design)
     system = spectral_decompose(sigma_hat)
@@ -207,6 +206,7 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     mask[false_nulls] = False
     return ScenarioState(
         scenario=config.scenario,
+        key=tuple(key),
         sigma_hat=sigma_hat,
         sds=sds,
         root=root,
@@ -217,76 +217,53 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     )
 
 
-def _storey_stepup_threshold(pvalues: np.ndarray, alpha: float, lambda_param: float) -> float:
-    """Largest threshold whose Storey estimate stays at or below alpha.
+def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float, **lad_options) -> tuple[np.ndarray, dict, int]:
+    """LAD fit of the realized factors on the calibration set of z.
 
-    Step-up over the observed p-values with the capped null-count estimate;
-    returns 0.0 when no threshold qualifies.
+    Returns the fitted values, the fit's diagnostics and the calibration
+    size; with no factors the values are empty and no fit runs.
     """
-    p = pvalues.shape[0]
-    p0_hat = min(np.count_nonzero(pvalues > lambda_param) / (1.0 - lambda_param), float(p))
-    sorted_p = np.sort(pvalues)
-    estimates = p0_hat * sorted_p / np.arange(1, p + 1)
-    passing = np.flatnonzero(estimates <= alpha)
-    if passing.size == 0:
-        return 0.0
-    return float(sorted_p[passing[-1]])
-
-
-def _fdp_of_rejections(rejected: np.ndarray, null_mask: np.ndarray) -> float:
-    total = int(np.count_nonzero(rejected))
-    if total == 0:
-        return 0.0
-    return float(np.count_nonzero(rejected & null_mask)) / total
+    calibration = select_calibration_set(z, fraction)
+    if model.k == 0:
+        return np.zeros(0), {"converged": True, "objective": 0.0, "iterations": 0}, calibration.size
+    fit = lad_regress(model.loadings[calibration.indices], z[calibration.indices], **lad_options)
+    diagnostics = {"converged": fit.converged, "objective": fit.objective, "iterations": fit.iterations}
+    return fit.w_hat, diagnostics, calibration.size
 
 
 def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray) -> list[dict]:
     pvalues = two_sided_pvalue(z)
-    null_mask = np.zeros(state.scenario.p, dtype=bool)
-    null_mask[state.true_nulls] = True
 
     w_hat = None
     if config.with_estimators:
-        if state.k == 0:
-            w_hat = np.zeros(0)
-        else:
-            calibration = select_calibration_set(z, config.calibration_fraction)
-            fit = lad_regress(
-                state.model.loadings[calibration.indices],
-                z[calibration.indices],
-            )
-            w_hat = fit.w_hat
+        w_hat, _, _ = _fit_factors(state.model, z, config.calibration_fraction)
 
-    bh_fdp: dict[float, float] = {}
-    storey_proc_fdp: dict[float, float] = {}
+    # A step-up procedure rejects exactly the p-values at or below its threshold.
+    procedures = {"fdp_bh_proc": None, "fdp_storey_proc": None}
     if config.control_alpha is not None:
         alpha = config.control_alpha
-        bh = bh_procedure(pvalues, alpha)
-        rejected = np.zeros(state.scenario.p, dtype=bool)
-        rejected[bh.indices] = True
-        bh_value = _fdp_of_rejections(rejected, null_mask)
-        storey_t = _storey_stepup_threshold(pvalues, alpha, config.storey_lambda)
-        storey_value = _fdp_of_rejections(pvalues <= storey_t, null_mask)
-        for t in config.t_grid:
-            bh_fdp[t] = bh_value
-            storey_proc_fdp[t] = storey_value
+        for name, rejections in (
+            ("fdp_bh_proc", bh_procedure(pvalues, alpha)),
+            ("fdp_storey_proc", storey_procedure(pvalues, alpha, config.storey_lambda)),
+        ):
+            v, _, r = map(int, realized_counts(z, state.true_nulls, rejections.threshold))
+            procedures[name] = v / max(r, 1)
 
     rows = []
     p0 = state.scenario.p - state.scenario.p1
     for t in config.t_grid:
-        v, s, r = realized_counts(z, state.mu, state.true_nulls, t)
+        v, s, r = map(int, realized_counts(z, state.true_nulls, t))
         row = {
             "rep": rep,
             "t": t,
             "R": r,
             "V": v,
             "S": s,
-            "fdp_true": v / r if r else 0.0,
+            "fdp_true": v / max(r, 1),
             "fdp_pfa": None,
             "fdp_efron": None,
             "fdp_storey": None,
-            "fdp_bh_proc": bh_fdp.get(t),
-            "fdp_storey_proc": storey_proc_fdp.get(t),
+            **procedures,
         }
         if config.with_estimators:
             row["fdp_pfa"] = estimate_fdp(t, z, state.model, w_hat).fdp
@@ -296,11 +273,17 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
     return rows
 
 
-def _draw_statistics(config: ExperimentConfig, state: ScenarioState, reps: range) -> np.ndarray:
-    noise = np.empty((len(reps), state.scenario.p))
-    for i, rep in enumerate(reps):
-        noise[i] = substream(config.seed, _NS_REPLICATION, rep).standard_normal(state.scenario.p)
-    return state.mu + noise @ state.root
+def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 512):
+    """(reps, statistics) chunks of the N(mu, Sigma) draws of every replication.
+
+    Each replication takes its noise from its own substream.
+    """
+    for start in range(0, config.n_reps, chunk_size):
+        reps = range(start, min(start + chunk_size, config.n_reps))
+        noise = np.stack(
+            [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.p) for rep in reps]
+        )
+        yield reps, state.mu + noise @ state.root
 
 
 def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -349,23 +332,14 @@ def run_experiment(config: ExperimentConfig, chunk_size: int = 512) -> Experimen
     """Run all replications and aggregate; deterministic in (config, seed)."""
     state = prepare_scenario(config)
     n_threads = max(1, int(os.environ.get("PFA_THREADS", "1")))
+    replicate = partial(_replication_row, config, state)
 
     records: list[dict] = []
-    for start in range(0, config.n_reps, chunk_size):
-        reps = range(start, min(start + chunk_size, config.n_reps))
-        statistics = _draw_statistics(config, state, reps)
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                chunks = list(
-                    pool.map(
-                        lambda pair: _replication_row(config, state, pair[0], pair[1]),
-                        zip(reps, statistics),
-                    )
-                )
-        else:
-            chunks = [_replication_row(config, state, rep, z) for rep, z in zip(reps, statistics)]
-        for rows in chunks:
-            records.extend(rows)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        mapper = pool.map if n_threads > 1 else map
+        for reps, statistics in _draw_statistics(config, state, chunk_size):
+            for rows in mapper(replicate, reps, statistics):
+                records.extend(rows)
 
     aggregates: dict = {
         "version": __version__,
@@ -375,21 +349,12 @@ def run_experiment(config: ExperimentConfig, chunk_size: int = 512) -> Experimen
         "false_nulls": state.false_nulls.tolist(),
         "per_t": {},
     }
-    draws = None
-    if state.k > 0:
-        draws = standard_factor_draws(state.k, config.n_mc, config.seed)
-    p1 = config.scenario.p1
+    draws = standard_factor_draws(state.k, config.n_mc, config.seed)
     for t in config.t_grid:
         summary = _aggregate_per_t(records, t)
-        summary["approx_fdr"] = approx_fdr(t, state.model, p1, n_mc=config.n_mc, seed=config.seed, draws=draws)
-        if state.k == 0:
-            summary["var_numerator_all"] = 0.0
-            summary["var_numerator_nulls"] = 0.0
-        else:
-            all_values = numerator_over_draws(t, state.model, draws)
-            null_values = numerator_over_draws(t, state.model, draws, subset=state.true_nulls)
-            summary["var_numerator_all"] = float(np.var(all_values, ddof=1))
-            summary["var_numerator_nulls"] = float(np.var(null_values, ddof=1))
+        summary["approx_fdr"] = approx_fdr(t, state.model, config.scenario.p1, draws)
+        summary["var_numerator_all"] = variance_of_false_count(t, state.model, draws)
+        summary["var_numerator_nulls"] = variance_of_false_count(t, state.model, draws, state.true_nulls)
         aggregates["per_t"][_t_key(t)] = summary
     return ExperimentOutput(config=config, records=records, aggregates=aggregates)
 
@@ -420,24 +385,10 @@ def variance_study(
         with_estimators=False,
     )
     state = prepare_scenario(config)
-    p = scenario.p
-    null_mask = np.zeros(p, dtype=bool)
-    null_mask[state.true_nulls] = True
     counts = np.empty(n_reps)
-    for start in range(0, n_reps, chunk_size):
-        reps = range(start, min(start + chunk_size, n_reps))
-        statistics = _draw_statistics(config, state, reps)
-        pvalues = two_sided_pvalue(statistics)
-        counts[reps.start : reps.stop] = np.sum((pvalues <= t) & null_mask, axis=1)
-    if state.k == 0:
-        var_all = 0.0
-        var_nulls = 0.0
-    else:
-        draws = standard_factor_draws(state.k, n_mc, seed)
-        var_all = float(np.var(numerator_over_draws(t, state.model, draws), ddof=1))
-        var_nulls = float(
-            np.var(numerator_over_draws(t, state.model, draws, subset=state.true_nulls), ddof=1)
-        )
+    for reps, statistics in _draw_statistics(config, state, chunk_size):
+        counts[reps.start : reps.stop] = realized_counts(statistics, state.true_nulls, t)[0]
+    draws = standard_factor_draws(state.k, n_mc, seed)
     return {
         "version": __version__,
         "config": config.to_dict(),
@@ -445,8 +396,8 @@ def variance_study(
         "t": float(t),
         "mean_V": float(np.mean(counts)),
         "var_V_empirical": float(np.var(counts, ddof=1)),
-        "var_numerator_all": var_all,
-        "var_numerator_nulls": var_nulls,
+        "var_numerator_all": variance_of_false_count(t, state.model, draws),
+        "var_numerator_nulls": variance_of_false_count(t, state.model, draws, state.true_nulls),
     }
 
 
@@ -535,23 +486,7 @@ def run_estimate(
     system = spectral_decompose(sigma)
     k = select_num_factors(system.values, epsilon)
     model = build_factor_model(system, k)
-    calibration = select_calibration_set(z, fraction)
-    if k == 0:
-        w_hat = np.zeros(0)
-        fit_info = {"converged": True, "objective": 0.0, "iterations": 0}
-    else:
-        fit = lad_regress(
-            model.loadings[calibration.indices],
-            z[calibration.indices],
-            tol=lad_tol,
-            max_iter=lad_max_iter,
-        )
-        w_hat = fit.w_hat
-        fit_info = {
-            "converged": fit.converged,
-            "objective": fit.objective,
-            "iterations": fit.iterations,
-        }
+    w_hat, fit_info, m = _fit_factors(model, z, fraction, tol=lad_tol, max_iter=lad_max_iter)
     report = estimate_fdp(t, z, model, w_hat)
     return {
         "version": __version__,
@@ -559,7 +494,7 @@ def run_estimate(
         "epsilon": epsilon,
         "fraction": fraction,
         "k": k,
-        "m": calibration.size,
+        "m": m,
         "w_hat": w_hat.tolist(),
         "R": report.n_rejected,
         "est_false_count": report.est_false_count,
@@ -585,8 +520,14 @@ def run_convergence(
     limit value. Emits one histogram CSV per (p, t) (50 bins on [0, 1]) plus
     a summary with two-sample Kolmogorov-Smirnov distances.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
+    base = ExperimentConfig(
+        scenario=scenario,
+        t_grid=tuple(t_grid),
+        n_reps=n_reps,
+        seed=seed,
+        epsilon=epsilon,
+        with_estimators=False,
+    )
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -602,38 +543,19 @@ def run_convergence(
         "ks": {},
     }
     for p_index, p in enumerate(p_grid):
-        config = ExperimentConfig(
-            scenario=scenario.with_p(p),
-            t_grid=tuple(t_grid),
-            n_reps=n_reps,
-            seed=seed,
-            epsilon=epsilon,
-            with_estimators=False,
-        )
-        rng_design = substream(seed, _NS_DESIGN, p_index)
-        design = generate_design(config.scenario, rng_design)
-        sigma_hat, sds = sample_correlation(design)
-        system = spectral_decompose(sigma_hat)
-        root = symmetric_sqrt(system)
-        model = build_factor_model(system, select_num_factors(system.values, epsilon))
-        p1 = config.scenario.p1
-        false_nulls = np.arange(p1, dtype=np.intp)
-        mu = np.zeros(p)
-        mu[false_nulls] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[false_nulls] / config.scenario.sigma
-        mask = np.ones(p, dtype=bool)
-        mask[false_nulls] = False
-        true_nulls = np.flatnonzero(mask)
-
+        config = replace(base, scenario=scenario.with_p(p))
+        state = prepare_scenario(config, (p_index,))
         empirical = {t: np.empty(n_reps) for t in t_grid}
+        for reps, statistics in _draw_statistics(config, state):
+            for t in t_grid:
+                v, _, r = realized_counts(statistics, state.true_nulls, t)
+                empirical[t][reps.start : reps.stop] = v / np.maximum(r, 1)
         limit = {t: np.empty(n_reps) for t in t_grid}
         for rep in range(n_reps):
-            z = mu + root @ substream(seed, _NS_REPLICATION, p_index, rep).standard_normal(p)
-            w = substream(seed, _NS_LIMIT, p_index, rep).standard_normal(model.k)
-            realization = FactorRealization.from_w(model, w)
+            w = substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k)
+            realization = FactorRealization.from_w(state.model, w)
             for t in t_grid:
-                v, _, r = realized_counts(z, mu, true_nulls, t)
-                empirical[t][rep] = v / r if r else 0.0
-                limit[t][rep] = fdp_limit(t, model, mu, true_nulls, realization)
+                limit[t][rep] = fdp_limit(t, state.model, state.mu, state.true_nulls, realization)
 
         for t in t_grid:
             distance = float(ks_2samp(empirical[t], limit[t]).statistic)
@@ -654,10 +576,14 @@ def run_convergence(
     return summary
 
 
-def read_matrix_csv(path: str | Path) -> CorrelationMatrix:
-    """Headerless dense CSV of p rows; errors carry the offending line."""
-    path = Path(path)
+def _read_csv(path: Path, width: int | None) -> np.ndarray:
+    """Rows of a headerless numeric CSV; errors carry the file and line.
+
+    Blank lines are skipped. Every row must have `width` cells (the first
+    row's count when None) and every cell must be a finite real.
+    """
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with path.open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -666,29 +592,30 @@ def read_matrix_csv(path: str | Path) -> CorrelationMatrix:
             try:
                 rows.append([float(cell) for cell in line.split(",")])
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: could not parse matrix row: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: could not parse: {exc}") from None
+            width = width or len(rows[0])
+            if len(rows[-1]) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, found {len(rows[-1])}")
+            linenos.append(lineno)
     if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ValueError(f"{path}:{i}: expected {width} columns, found {len(row)}")
-    return CorrelationMatrix.from_entries(np.asarray(rows))
+        raise ValueError(f"{path}: empty file")
+    values = np.asarray(rows)
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
+    return values
+
+
+def read_matrix_csv(path: str | Path) -> CorrelationMatrix:
+    """Headerless dense CSV of p rows; errors name the file and line."""
+    path = Path(path)
+    entries = _read_csv(path, None)
+    try:
+        return CorrelationMatrix.from_entries(entries)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def read_vector_csv(path: str | Path) -> np.ndarray:
-    """Single-column CSV of reals; errors carry the offending line."""
-    path = Path(path)
-    values: list[float] = []
-    with path.open() as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: could not parse value: {exc}") from None
-    if not values:
-        raise ValueError(f"{path}: empty vector file")
-    return np.asarray(values)
+    """Single-column CSV of reals; errors name the file and line."""
+    return _read_csv(Path(path), 1)[:, 0]

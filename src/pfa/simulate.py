@@ -2,29 +2,27 @@
 
 A Scenario describes one of six dependence structures for the raw design
 matrix. One sampled design yields a sample correlation matrix (the known
-covariance of the test statistics), per-column standard deviations, and the
-mean shifts of the false nulls; test statistics are then drawn exactly from
-N(mu, Sigma) via the symmetric square root, which is the conditional law of
+covariance of the test statistics) and per-column standard deviations, from
+which `pfa.harness.prepare_scenario` builds the mean shifts of the false
+nulls; test statistics drawn from N(mu, Sigma) follow the conditional law of
 the standardized marginal-regression coefficients given the design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .gauss import two_sided_pvalue
-from .linalg import CorrelationMatrix, spectral_decompose, symmetric_sqrt
+from .linalg import CorrelationMatrix
 
 __all__ = [
     "SCENARIO_KINDS",
     "ConstantColumnError",
     "Scenario",
-    "GeneratedInstance",
     "generate_design",
     "sample_correlation",
-    "make_test_statistics",
     "realized_counts",
 ]
 
@@ -73,34 +71,14 @@ class Scenario:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "n": self.n,
-            "p1": self.p1,
-            "beta": self.beta,
-            "sigma": self.sigma,
-            "rho": self.rho,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        return cls(**{key: data[key] for key in ("kind", "p", "n", "p1", "beta", "sigma", "rho") if key in data})
+        return cls(**{field.name: data[field.name] for field in fields(cls) if field.name in data})
 
     def with_p(self, p: int) -> "Scenario":
         return replace(self, p=p)
-
-
-@dataclass(frozen=True)
-class GeneratedInstance:
-    """One simulated testing problem: known correlation, shifts, statistics."""
-
-    sigma_hat: CorrelationMatrix
-    mu: np.ndarray
-    z: np.ndarray
-    true_nulls: np.ndarray
-    false_nulls: np.ndarray
-    sds: np.ndarray
 
 
 def generate_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
@@ -170,59 +148,13 @@ def sample_correlation(design: np.ndarray) -> tuple[CorrelationMatrix, np.ndarra
     return CorrelationMatrix.from_entries(entries), sds
 
 
-def make_test_statistics(
-    sigma_hat: CorrelationMatrix,
-    sds: np.ndarray,
-    scenario: Scenario,
-    rng: np.random.Generator,
-    root: np.ndarray | None = None,
-    false_nulls: np.ndarray | None = None,
-) -> GeneratedInstance:
-    """Draw Z ~ N(mu, Sigma) with mean shifts on the false-null coordinates.
+def realized_counts(z: np.ndarray, true_nulls: np.ndarray, t: float) -> tuple:
+    """(V, S, R): false, true, and total discoveries at threshold t.
 
-    mu_i = sqrt(n) * beta * sd_i / sigma on the false nulls and exactly 0
-    elsewhere. `root` may carry a precomputed symmetric square root of
-    Sigma; `false_nulls` overrides the default placement (first p1 indices).
+    Counts along the last axis of z, so one statistic vector gives three
+    integers and a (reps, p) batch gives three length-reps arrays.
     """
-    p = sigma_hat.dim
-    sds = np.asarray(sds, dtype=float)
-    if sds.shape != (p,):
-        raise ValueError(f"expected {p} column SDs, got shape {sds.shape}")
-    if root is None:
-        root = symmetric_sqrt(spectral_decompose(sigma_hat))
-    if false_nulls is None:
-        false_nulls = np.arange(scenario.p1, dtype=np.intp)
-    else:
-        false_nulls = np.asarray(false_nulls, dtype=np.intp)
-        if false_nulls.size != scenario.p1:
-            raise ValueError(f"expected {scenario.p1} false-null indices, got {false_nulls.size}")
-    mu = np.zeros(p)
-    mu[false_nulls] = np.sqrt(scenario.n) * scenario.beta * sds[false_nulls] / scenario.sigma
-    mask = np.ones(p, dtype=bool)
-    mask[false_nulls] = False
-    true_nulls = np.flatnonzero(mask)
-    z = mu + root @ rng.standard_normal(p)
-    return GeneratedInstance(
-        sigma_hat=sigma_hat,
-        mu=mu,
-        z=z,
-        true_nulls=true_nulls,
-        false_nulls=np.sort(false_nulls),
-        sds=sds,
-    )
-
-
-def realized_counts(
-    z: np.ndarray,
-    mu: np.ndarray,
-    true_nulls: np.ndarray,
-    t: float,
-) -> tuple[int, int, int]:
-    """(V, S, R): false, true, and total discoveries at threshold t."""
-    z = np.asarray(z, dtype=float)
-    rejected = two_sided_pvalue(z) <= t
-    null_mask = np.zeros(z.shape[0], dtype=bool)
-    null_mask[np.asarray(true_nulls, dtype=np.intp)] = True
-    false_discoveries = int(np.count_nonzero(rejected & null_mask))
-    total = int(np.count_nonzero(rejected))
+    rejected = two_sided_pvalue(np.asarray(z, dtype=float)) <= t
+    total = np.count_nonzero(rejected, axis=-1)
+    false_discoveries = np.count_nonzero(rejected[..., np.asarray(true_nulls, dtype=np.intp)], axis=-1)
     return false_discoveries, total - false_discoveries, total

@@ -6,7 +6,8 @@ import pytest
 from pfa.cli import main
 from pfa.harness import run_estimate
 from pfa.linalg import equal_correlation
-from pfa.simulate import Scenario, generate_design, make_test_statistics, sample_correlation
+from pfa.simulate import Scenario
+from test_harness import first_draw, small_config
 
 
 def write_matrix(path, entries):
@@ -54,21 +55,19 @@ class TestEstimateCommand:
         assert report["fdp"] == pytest.approx(min(400 * 0.05, report["R"]) / report["R"])
 
     def test_matches_in_memory_pipeline(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
         scenario = Scenario(kind="two_factor", p=50, n=60, p1=4)
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        instance = make_test_statistics(sigma, sds, scenario, rng)
+        state, z = first_draw(small_config(scenario=scenario, seed=1))
+        sigma = state.sigma_hat
         sigma_path = tmp_path / "sigma.csv"
         z_path = tmp_path / "z.csv"
         write_matrix(sigma_path, sigma.entries)
-        write_vector(z_path, instance.z)
+        write_vector(z_path, z)
         code = main(
             ["estimate", "--sigma", str(sigma_path), "--z", str(z_path), "--t", "0.02"]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        direct = run_estimate(instance.z, sigma, t=0.02)
+        direct = run_estimate(z, sigma, t=0.02)
         assert report["k"] == direct["k"]
         assert report["fdp"] == pytest.approx(direct["fdp"], rel=1e-12)
         assert report["w_hat"] == pytest.approx(direct["w_hat"], rel=1e-12)
@@ -89,6 +88,15 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert ":2" in capsys.readouterr().err
+
+    def test_non_finite_statistic_is_input_error(self, tmp_path, identity_sigma, capsys):
+        z_path = tmp_path / "z.csv"
+        write_vector(z_path, [0.5] * 399 + [float("nan")])
+        code = main(
+            ["estimate", "--sigma", str(identity_sigma), "--z", str(z_path), "--t", "0.05"]
+        )
+        assert code == 2
+        assert "z.csv:400: non-finite" in capsys.readouterr().err
 
 
 class TestControlCommand:
@@ -172,6 +180,32 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, config_key",
+        [
+            (["--mc", "1"], None),
+            (["--alpha", "1.5"], None),
+            (["--fraction", "1.5"], None),
+            ([], ("storey_lambda", 1.0)),
+        ],
+    )
+    def test_out_of_range_settings_are_input_errors(self, tmp_path, capsys, flags, config_key):
+        config = {
+            "scenario": {"kind": "two_factor", "p": 60, "n": 40, "p1": 4},
+            "t_grid": [0.02],
+            "n_reps": 5,
+            "seed": 7,
+        }
+        if config_key is not None:
+            config[config_key[0]] = config_key[1]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "x"
+        code = main(["simulate", "--config", str(config_path), "--out", str(out_dir), *flags])
+        assert code == 2
+        assert "must" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_json_is_input_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -14,6 +14,7 @@ from pfa.factors import (
     fdp_limit,
     fdp_numerator,
     select_num_factors,
+    standard_factor_draws,
     variance_of_false_count,
 )
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
@@ -268,15 +269,16 @@ class TestVarianceOfFalseCount:
     def test_no_factors_exactly_zero(self):
         system = spectral_decompose(equal_correlation(50, 0.0))
         model = build_factor_model(system, 0)
-        assert variance_of_false_count(0.01, model, np.arange(50), 1000, 3) == 0.0
+        draws = standard_factor_draws(0, 1000, 3)
+        assert variance_of_false_count(0.01, model, draws, np.arange(50)) == 0.0
 
     def test_deterministic_in_seed(self):
         model_system = spectral_decompose(equal_correlation(80, 0.5))
         model = build_factor_model(model_system, 3)
         subset = np.arange(70)
-        a = variance_of_false_count(0.01, model, subset, 4000, 17)
-        b = variance_of_false_count(0.01, model, subset, 4000, 17)
-        c = variance_of_false_count(0.01, model, subset, 4000, 18)
+        a = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 17), subset)
+        b = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 17), subset)
+        c = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 18), subset)
         assert a == b
         assert a != c
 
@@ -291,10 +293,10 @@ class TestVarianceOfFalseCount:
         values = np.array([exchangeable_closed_form(p, rho, t, x) for x in nodes])
         mean = np.sum(weights * values)
         var = np.sum(weights * (values - mean) ** 2)
-        mc = variance_of_false_count(t, model, None, 60000, 123)
+        mc = variance_of_false_count(t, model, standard_factor_draws(1, 60000, 123))
         assert mc == pytest.approx(var, rel=0.15)
 
     def test_requires_two_draws(self):
         model = exchangeable_model(10, 0.5)
         with pytest.raises(ValueError):
-            variance_of_false_count(0.01, model, None, 1, 0)
+            variance_of_false_count(0.01, model, standard_factor_draws(1, 1, 0))

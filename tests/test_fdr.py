@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfa.factors import build_factor_model
+from pfa.factors import build_factor_model, standard_factor_draws
 from pfa.fdr import (
     UnreachableAlphaError,
     approx_fdr,
     bh_procedure,
-    dispersion_diagnostic,
     efron_estimate,
     solve_threshold,
     storey_estimate,
+    storey_procedure,
 )
 from pfa.gauss import two_sided_pvalue
 from pfa.linalg import equal_correlation, spectral_decompose
@@ -34,31 +34,46 @@ def bh_exhaustive_oracle(pvalues, alpha):
     return np.flatnonzero(pvalues <= k_hat * alpha / p)
 
 
+def storey_exhaustive_oracle(pvalues, alpha, lambda_param):
+    """Scan every cutoff with the capped null count p0 = #{P > lambda} / (1 - lambda)."""
+    p = len(pvalues)
+    p0 = min(sum(value > lambda_param for value in pvalues) / (1.0 - lambda_param), p)
+    ordered = np.sort(pvalues)
+    cutoff = None
+    for i in range(1, p + 1):
+        if p0 == 0 or ordered[i - 1] <= i * alpha / p0:
+            cutoff = ordered[i - 1]
+    if cutoff is None:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(pvalues <= cutoff)
+
+
 class TestApproxFdr:
     def test_no_factor_closed_form(self):
         model = model_with_k(2000, 0.0, 0)
-        assert approx_fdr(0.001, model, 10) == pytest.approx(2.0 / 12.0, rel=1e-12)
+        assert approx_fdr(0.001, model, 10, standard_factor_draws(0, 10, 0)) == pytest.approx(2.0 / 12.0, rel=1e-12)
 
     def test_no_false_nulls_gives_one(self):
         model = model_with_k(100, 0.0, 0)
-        assert approx_fdr(0.01, model, 0) == 1.0
+        assert approx_fdr(0.01, model, 0, standard_factor_draws(0, 10, 0)) == 1.0
         factored = model_with_k(100, 0.5, 1)
-        assert approx_fdr(0.01, factored, 0, n_mc=500, seed=1) == 1.0
+        assert approx_fdr(0.01, factored, 0, standard_factor_draws(1, 500, 1)) == 1.0
 
     def test_deterministic_and_monotone_with_shared_draws(self):
         model = model_with_k(300, 0.5, 1)
         grid = np.logspace(-5, -0.5, 20)
-        values = [approx_fdr(float(t), model, 10, n_mc=2000, seed=11) for t in grid]
-        again = [approx_fdr(float(t), model, 10, n_mc=2000, seed=11) for t in grid]
+        values = [approx_fdr(float(t), model, 10, standard_factor_draws(1, 2000, 11)) for t in grid]
+        again = [approx_fdr(float(t), model, 10, standard_factor_draws(1, 2000, 11)) for t in grid]
         assert values == again
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_parameter_validation(self):
         model = model_with_k(10, 0.0, 0)
+        draws = standard_factor_draws(0, 10, 0)
         with pytest.raises(ValueError):
-            approx_fdr(0.0, model, 1)
+            approx_fdr(0.0, model, 1, draws)
         with pytest.raises(ValueError):
-            approx_fdr(0.1, model, 11)
+            approx_fdr(0.1, model, 11, draws)
 
 
 class TestSolveThreshold:
@@ -71,7 +86,7 @@ class TestSolveThreshold:
     def test_round_trip_with_factors(self):
         model = model_with_k(400, 0.5, 1)
         result = solve_threshold(0.08, model, 10, n_mc=4000, tol=1e-5, seed=3)
-        back = approx_fdr(result.t_star, model, 10, n_mc=4000, seed=3)
+        back = approx_fdr(result.t_star, model, 10, standard_factor_draws(1, 4000, 3))
         assert abs(back - 0.08) <= 1e-4
 
     def test_alpha_above_curve_raises(self):
@@ -151,6 +166,66 @@ class TestStoreyEstimate:
         assert value == pytest.approx(20 * 0.05 / 30)
 
 
+class TestStoreyProcedure:
+    def test_matches_exhaustive_oracle_on_random_inputs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            p = int(rng.integers(1, 51))
+            pvalues = rng.uniform(size=p) ** rng.uniform(0.5, 3.0)
+            alpha = float(rng.uniform(0.01, 0.3))
+            lambda_param = float(rng.uniform(0.1, 0.9))
+            got = storey_procedure(pvalues, alpha, lambda_param)
+            np.testing.assert_array_equal(np.sort(got.indices), storey_exhaustive_oracle(pvalues, alpha, lambda_param))
+            assert np.all(pvalues[got.indices] <= got.threshold)
+
+    def test_no_threshold_qualifies(self):
+        # every p-value above lambda -> p0_hat = p, and p * 0.9 / i > alpha for all i
+        result = storey_procedure(np.full(10, 0.9), 0.05, 0.5)
+        assert result.size == 0
+        assert result.threshold == 0.0
+        assert storey_exhaustive_oracle(np.full(10, 0.9), 0.05, 0.5).size == 0
+
+    def test_underflowed_pvalues_are_rejected(self):
+        pvalues = two_sided_pvalue(np.array([50.0, -45.0, 0.3, 1.2, 2.0, 0.1]))
+        assert np.count_nonzero(pvalues == 0.0) == 2
+        result = storey_procedure(pvalues, 0.1, 0.5)
+        np.testing.assert_array_equal(np.sort(result.indices), storey_exhaustive_oracle(pvalues, 0.1, 0.5))
+        assert {0, 1} <= set(result.indices.tolist())
+
+    def test_zero_null_count_rejects_everything(self):
+        result = storey_procedure(np.full(5, 0.2), 0.05, 0.5)
+        np.testing.assert_array_equal(np.sort(result.indices), np.arange(5))
+
+    def test_lambda_domain(self):
+        with pytest.raises(ValueError):
+            storey_procedure(np.ones(5), 0.1, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+        st.floats(min_value=0.01, max_value=0.5),
+        st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_rejections_include_bh(self, pvalues, alpha, lambda_param):
+        # p0_hat is capped at p, so each Storey bar alpha * i / p0_hat is at
+        # least B-H's alpha * i / p
+        pvalues = np.asarray(pvalues)
+        bh = set(bh_procedure(pvalues, alpha).indices.tolist())
+        storey = set(storey_procedure(pvalues, alpha, lambda_param).indices.tolist())
+        assert bh <= storey
+
+    def test_rejections_include_bh_at_exact_bh_bars(self):
+        # p-values sitting exactly on B-H's bars, where rounding decides
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            p = int(rng.integers(1, 40))
+            alpha = float(rng.uniform(0.01, 0.5))
+            bars = alpha * np.arange(1, p + 1) / p
+            pvalues = np.where(rng.uniform(size=p) < 0.5, bars, rng.uniform(size=p))
+            bh = set(bh_procedure(pvalues, alpha).indices.tolist())
+            assert bh <= set(storey_procedure(pvalues, alpha, 0.5).indices.tolist())
+
+
 class TestEfronEstimate:
     def test_no_central_statistics_reduces_to_plain_ratio(self):
         # every |z| above x0 -> dispersion term drops out
@@ -180,22 +255,6 @@ class TestEfronEstimate:
     def test_x0_domain(self):
         with pytest.raises(ValueError):
             efron_estimate(np.ones(5), 0.1, 4, x0=0.0)
-
-
-def test_dispersion_diagnostic_zero_at_expected_energy():
-    model = model_with_k(50, 0.5, 2)
-    energy = np.sum(model.loadings**2, axis=1)
-    eta = np.sqrt(energy)  # squares match their expectation exactly
-    assert dispersion_diagnostic(model, eta, np.arange(50)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dispersion_diagnostic_scales_with_excess():
-    model = model_with_k(50, 0.5, 1)
-    eta = model.loadings[:, 0] * 2.0  # realized factor of 2: eta^2 = 4 * energy
-    energy = np.sum(model.loadings**2, axis=1)
-    nulls = np.arange(50)
-    expected = np.sum(3.0 * energy) / (np.sqrt(2.0) * 50)
-    assert dispersion_diagnostic(model, eta, nulls) == pytest.approx(expected, rel=1e-12)
 
 
 def test_independent_statistics_estimators_agree():

@@ -5,7 +5,9 @@ import pytest
 
 from pfa.harness import (
     ExperimentConfig,
+    _draw_statistics,
     load_output,
+    prepare_scenario,
     read_matrix_csv,
     read_vector_csv,
     run_convergence,
@@ -45,6 +47,77 @@ class TestExperimentConfig:
             small_config(n_reps=0)
         with pytest.raises(ValueError):
             small_config(placement="middle")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"n_mc": 1},
+            {"control_alpha": 0.0},
+            {"control_alpha": 1.5},
+            {"storey_lambda": 1.0},
+            {"calibration_fraction": 0.0},
+            {"calibration_fraction": 1.5},
+        ],
+    )
+    def test_rejects_out_of_range_settings(self, override):
+        with pytest.raises(ValueError, match=next(iter(override))):
+            small_config(**override)
+
+
+def first_draw(config):
+    """The scenario state of config and the statistics of its replication 0."""
+    state = prepare_scenario(config)
+    _, statistics = next(_draw_statistics(config, state, 1))
+    return state, statistics[0]
+
+
+class TestPrepareScenario:
+    def test_zero_beta_all_null(self):
+        state = prepare_scenario(
+            small_config(scenario=Scenario(kind="equal_correlation", p=50, n=40, p1=10, beta=0.0))
+        )
+        assert np.all(state.mu == 0.0)
+        assert state.true_nulls.size == 40
+
+    def test_mean_shift_formula(self):
+        scenario = Scenario(kind="equal_correlation", p=60, n=100, p1=5, beta=1.0, sigma=2.0)
+        state = prepare_scenario(small_config(scenario=scenario))
+        np.testing.assert_allclose(state.mu[:5], np.sqrt(100) * state.sds[:5] / 2.0)
+        assert np.all(state.mu[5:] == 0.0)
+        assert np.all(state.mu[state.true_nulls] == 0.0)
+
+    def test_random_placement(self):
+        scenario = Scenario(kind="equal_correlation", p=30, n=50, p1=3)
+        state = prepare_scenario(small_config(scenario=scenario, placement="random"))
+        placed = state.false_nulls
+        assert placed.size == 3 and np.all(np.diff(placed) > 0)
+        assert np.all(state.mu[placed] > 0.0)
+        np.testing.assert_array_equal(np.sort(np.concatenate([placed, state.true_nulls])), np.arange(30))
+
+    def test_key_sets_the_design_stream_apart(self):
+        config = small_config()
+        unkeyed, keyed = prepare_scenario(config), prepare_scenario(config, (0,))
+        assert keyed.key == (0,) and unkeyed.key == ()
+        assert not np.array_equal(keyed.sigma_hat.entries, unkeyed.sigma_hat.entries)
+
+
+class TestDrawStatistics:
+    def test_identity_covariance_of_draws(self):
+        scenario = Scenario(kind="equal_correlation", p=10, n=5000, p1=0, rho=0.0)
+        config = small_config(scenario=scenario, n_reps=20000)
+        state = prepare_scenario(config)
+        draws = np.concatenate([chunk for _, chunk in _draw_statistics(config, state, 4096)])
+        assert draws.shape == (20000, 10)
+        cov = np.cov(draws.T)
+        assert np.max(np.abs(cov - np.eye(10))) < 0.05
+
+    def test_chunks_cover_every_replication_in_order(self):
+        config = small_config(n_reps=7)
+        state = prepare_scenario(config)
+        chunks = list(_draw_statistics(config, state, 3))
+        assert [list(reps) for reps, _ in chunks] == [[0, 1, 2], [3, 4, 5], [6]]
+        whole = next(_draw_statistics(config, state, 7))[1]
+        np.testing.assert_allclose(np.concatenate([z for _, z in chunks]), whole, rtol=0, atol=1e-12)
 
 
 class TestRunExperiment:
@@ -137,14 +210,9 @@ class TestRunEstimate:
             run_estimate(np.ones(3), equal_correlation(4, 0.0), t=0.05)
 
     def test_reports_fit_metadata(self):
-        rng = np.random.default_rng(22)
         scenario = Scenario(kind="two_factor", p=60, n=80, p1=4)
-        from pfa.simulate import generate_design, make_test_statistics, sample_correlation
-
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        instance = make_test_statistics(sigma, sds, scenario, rng)
-        report = run_estimate(instance.z, sigma, t=0.02)
+        state, z = first_draw(small_config(scenario=scenario, seed=22))
+        report = run_estimate(z, state.sigma_hat, t=0.02)
         assert report["k"] >= 1
         assert report["m"] == 45
         assert len(report["w_hat"]) == report["k"]
@@ -206,6 +274,35 @@ class TestFileReaders:
         path = tmp_path / "z.csv"
         path.write_text("0.1\nbad\n")
         with pytest.raises(ValueError, match=r"z\.csv:2"):
+            read_vector_csv(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "rag.csv"
+        path.write_text("\n1.0,0.5\n0.5\n")
+        with pytest.raises(ValueError, match=r"rag\.csv:3: expected 2 columns, found 1"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cells_rejected(self, tmp_path, cell):
+        z_path = tmp_path / "z.csv"
+        z_path.write_text(f"0.1\n\n{cell}\n")
+        with pytest.raises(ValueError, match=r"z\.csv:3: non-finite"):
+            read_vector_csv(z_path)
+        sigma_path = tmp_path / "sigma.csv"
+        sigma_path.write_text(f"1.0,0.5\n0.5,{cell}\n")
+        with pytest.raises(ValueError, match=r"sigma\.csv:2: non-finite"):
+            read_matrix_csv(sigma_path)
+
+    def test_non_square_matrix_names_the_file(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("1.0,0.5,0.2\n0.5,1.0,0.1\n")
+        with pytest.raises(ValueError, match=r"wide\.csv: expected a square matrix"):
+            read_matrix_csv(path)
+
+    def test_vector_rejects_several_columns(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("0.1\n0.2,0.3\n")
+        with pytest.raises(ValueError, match=r"z\.csv:2: expected 1 columns, found 2"):
             read_vector_csv(path)
 
     def test_round_trip_files(self, tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pfa.gauss import two_sided_pvalue
-from pfa.linalg import spectral_decompose, symmetric_sqrt
+from pfa.harness import variance_study
+from pfa.linalg import spectral_decompose
 from pfa.simulate import (
     ConstantColumnError,
     Scenario,
     generate_design,
-    make_test_statistics,
     realized_counts,
     sample_correlation,
 )
@@ -163,63 +163,15 @@ class TestSampleCorrelation:
             sample_correlation(design)
 
 
-class TestMakeTestStatistics:
-    def test_zero_beta_all_null(self):
-        rng = np.random.default_rng(11)
-        scenario = Scenario(kind="equal_correlation", p=50, n=40, p1=10, beta=0.0)
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        instance = make_test_statistics(sigma, sds, scenario, rng)
-        assert np.all(instance.mu == 0.0)
-        assert instance.true_nulls.size == 40
-
-    def test_mean_shift_formula(self):
-        rng = np.random.default_rng(12)
-        scenario = Scenario(kind="equal_correlation", p=60, n=100, p1=5, beta=1.0, sigma=2.0)
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        instance = make_test_statistics(sigma, sds, scenario, rng)
-        np.testing.assert_allclose(instance.mu[:5], np.sqrt(100) * sds[:5] / 2.0)
-        assert np.all(instance.mu[5:] == 0.0)
-        assert np.all(instance.mu[instance.true_nulls] == 0.0)
-
-    def test_custom_placement(self):
-        rng = np.random.default_rng(13)
-        scenario = Scenario(kind="equal_correlation", p=30, n=50, p1=3)
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        placed = np.array([5, 11, 29])
-        instance = make_test_statistics(sigma, sds, scenario, rng, false_nulls=placed)
-        np.testing.assert_array_equal(instance.false_nulls, placed)
-        assert np.all(instance.mu[placed] > 0.0)
-
-    def test_identity_covariance_of_draws(self):
-        from pfa.linalg import equal_correlation
-
-        rng = np.random.default_rng(14)
-        scenario = Scenario(kind="equal_correlation", p=10, n=5000, p1=0, rho=0.0)
-        sigma = equal_correlation(10, 0.0)
-        sds = np.ones(10)
-        root = symmetric_sqrt(spectral_decompose(sigma))
-        draws = np.stack(
-            [
-                make_test_statistics(sigma, sds, scenario, rng, root=root).z
-                for _ in range(20000)
-            ]
-        )
-        cov = np.cov(draws.T)
-        assert np.max(np.abs(cov - np.eye(10))) < 0.05
-
-
 class TestRealizedCounts:
     def test_threshold_one_rejects_all(self):
         z = np.array([0.0, 1.0, -2.0, 8.0])
-        v, s, r = realized_counts(z, np.zeros(4), np.arange(4), 1.0)
+        v, s, r = realized_counts(z, np.arange(4), 1.0)
         assert (v, s, r) == (4, 0, 4)
 
     def test_threshold_zero_boundary(self):
         z = np.array([0.5, 50.0])  # p-value of 50 underflows to exactly 0
-        v, s, r = realized_counts(z, np.zeros(2), np.array([0]), 0.0)
+        v, s, r = realized_counts(z, np.array([0]), 0.0)
         assert r == 1 and s == 1 and v == 0
 
     def test_identity_v_plus_s(self):
@@ -227,25 +179,27 @@ class TestRealizedCounts:
         z = rng.standard_normal(300) * 2.0
         nulls = np.arange(200)
         for t in (0.001, 0.05, 0.5):
-            v, s, r = realized_counts(z, np.zeros(300), nulls, t)
+            v, s, r = realized_counts(z, nulls, t)
             assert v + s == r
             pvals = two_sided_pvalue(z)
             assert r == int(np.sum(pvals <= t))
             assert v == int(np.sum(pvals[:200] <= t))
 
+    def test_batch_counts_match_per_row_counts(self):
+        rng = np.random.default_rng(17)
+        batch = rng.standard_normal((6, 40)) * 2.0
+        nulls = np.arange(5, 40)
+        v, s, r = realized_counts(batch, nulls, 0.05)
+        assert v.shape == s.shape == r.shape == (6,)
+        per_row = np.array([realized_counts(z, nulls, 0.05) for z in batch])
+        np.testing.assert_array_equal(np.stack([v, s, r], axis=1), per_row)
+
     def test_mean_false_count_matches_null_level(self):
-        rng = np.random.default_rng(16)
+        # variance_study counts false discoveries with realized_counts over
+        # batched draws from N(mu, Sigma)
         scenario = Scenario(kind="equal_correlation", p=300, n=60, p1=30, rho=0.5)
-        design = generate_design(scenario, rng)
-        sigma, sds = sample_correlation(design)
-        root = symmetric_sqrt(spectral_decompose(sigma))
-        t = 0.05
-        counts = []
-        for _ in range(800):
-            instance = make_test_statistics(sigma, sds, scenario, rng, root=root)
-            v, _, _ = realized_counts(instance.z, instance.mu, instance.true_nulls, t)
-            counts.append(v)
-        counts = np.asarray(counts, dtype=float)
+        t, n_reps = 0.05, 800
+        result = variance_study(scenario, t=t, n_reps=n_reps, n_mc=200, seed=16)
         expected = 270 * t
-        stderr = counts.std(ddof=1) / np.sqrt(len(counts))
-        assert abs(counts.mean() - expected) <= 3.0 * stderr
+        stderr = np.sqrt(result["var_V_empirical"] / n_reps)
+        assert abs(result["mean_V"] - expected) <= 3.0 * stderr
