@@ -7,7 +7,7 @@ decomposition into consistent estimates of the false discovery proportion
 and an approximate-FDR threshold rule.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"
 
 from .factors import (
     FactorModel,

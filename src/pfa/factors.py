@@ -183,6 +183,8 @@ def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray)
     fitted realization, capped at the observed rejection count R(t); the
     estimate is 0 when R(t) = 0.
     """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {t}")
     z = np.asarray(z, dtype=float)
     pvalues = two_sided_pvalue(z)
     n_rejected = int(np.count_nonzero(pvalues <= t))

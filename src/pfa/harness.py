@@ -38,7 +38,7 @@ from .factors import (
 )
 from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
-from .lad import lad_regress, select_calibration_set
+from .lad import FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, spectral_decompose, symmetric_sqrt
 from .simulate import (
     Scenario,
@@ -81,6 +81,7 @@ RECORD_COLUMNS = (
     "fdp_storey",
     "fdp_bh_proc",
     "fdp_storey_proc",
+    "lad_converged",
 )
 
 # Aggregate keys the loader recomputes from the records.
@@ -101,6 +102,7 @@ _RECHECKED_KEYS = (
     "sd_re_efron",
     "mean_fdp_bh_proc",
     "mean_fdp_storey_proc",
+    "n_lad_uncertified",
 )
 
 
@@ -217,26 +219,23 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     )
 
 
-def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float, **lad_options) -> tuple[np.ndarray, dict, int]:
-    """LAD fit of the realized factors on the calibration set of z.
+def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[FactorFit, int]:
+    """LAD fit of the realized factors on the calibration set of z, and its size.
 
-    Returns the fitted values, the fit's diagnostics and the calibration
-    size; with no factors the values are empty and no fit runs.
+    With no factors no fit runs: the values are empty and the fit certified.
     """
     calibration = select_calibration_set(z, fraction)
     if model.k == 0:
-        return np.zeros(0), {"converged": True, "objective": 0.0, "iterations": 0}, calibration.size
-    fit = lad_regress(model.loadings[calibration.indices], z[calibration.indices], **lad_options)
-    diagnostics = {"converged": fit.converged, "objective": fit.objective, "iterations": fit.iterations}
-    return fit.w_hat, diagnostics, calibration.size
+        return FactorFit(w_hat=np.zeros(0), objective=0.0, iterations=0, converged=True), calibration.size
+    return lad_regress(model.loadings[calibration.indices], z[calibration.indices]), calibration.size
 
 
 def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray) -> list[dict]:
     pvalues = two_sided_pvalue(z)
 
-    w_hat = None
+    fit = None
     if config.with_estimators:
-        w_hat, _, _ = _fit_factors(state.model, z, config.calibration_fraction)
+        fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
 
     # A step-up procedure rejects exactly the p-values at or below its threshold.
     procedures = {"fdp_bh_proc": None, "fdp_storey_proc": None}
@@ -264,11 +263,13 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
             "fdp_efron": None,
             "fdp_storey": None,
             **procedures,
+            "lad_converged": None,
         }
         if config.with_estimators:
-            row["fdp_pfa"] = estimate_fdp(t, z, state.model, w_hat).fdp
+            row["fdp_pfa"] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
             row["fdp_efron"] = efron_estimate(z, t, p0, config.efron_x0)
             row["fdp_storey"] = min(storey_estimate(pvalues, t, config.storey_lambda), 1.0)
+            row["lad_converged"] = int(fit.converged)
         rows.append(row)
     return rows
 
@@ -325,6 +326,9 @@ def _aggregate_per_t(records: list[dict], t: float) -> dict:
         values = _column(records, t, name)
         if values is not None:
             out[f"mean_{name}"] = float(np.mean(values))
+    certified = _column(records, t, "lad_converged")
+    if certified is not None:
+        out["n_lad_uncertified"] = int(np.sum(certified == 0.0))
     return out
 
 
@@ -432,7 +436,7 @@ def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, P
 def _parse_cell(name: str, text: str):
     if text == "":
         return None
-    if name in ("rep", "R", "V", "S"):
+    if name in ("rep", "R", "V", "S", "lad_converged"):
         return int(text)
     return float(text)
 
@@ -472,8 +476,6 @@ def run_estimate(
     t: float,
     epsilon: float = 0.01,
     fraction: float = 0.75,
-    lad_tol: float = 1e-8,
-    lad_max_iter: int = 500,
 ) -> dict:
     """Full estimation pipeline on observed statistics and known correlation.
 
@@ -486,8 +488,8 @@ def run_estimate(
     system = spectral_decompose(sigma)
     k = select_num_factors(system.values, epsilon)
     model = build_factor_model(system, k)
-    w_hat, fit_info, m = _fit_factors(model, z, fraction, tol=lad_tol, max_iter=lad_max_iter)
-    report = estimate_fdp(t, z, model, w_hat)
+    fit, m = _fit_factors(model, z, fraction)
+    report = estimate_fdp(t, z, model, fit.w_hat)
     return {
         "version": __version__,
         "t": t,
@@ -495,12 +497,12 @@ def run_estimate(
         "fraction": fraction,
         "k": k,
         "m": m,
-        "w_hat": w_hat.tolist(),
+        "w_hat": fit.w_hat.tolist(),
         "R": report.n_rejected,
         "est_false_count": report.est_false_count,
         "fdp": report.fdp,
         "degenerate_rows": model.degenerate_rows.tolist(),
-        "lad": fit_info,
+        "lad": {"converged": fit.converged, "objective": fit.objective, "iterations": fit.iterations},
     }
 
 

@@ -2,10 +2,8 @@
 
 The statistics with the smallest |z| are treated as (approximately) pure
 noise-plus-factors, and the factor values are fitted by least absolute
-deviation regression on that calibration set. Acceptance of a fit is via a
-coordinate-wise subgradient certificate rather than any property of the
-solver: IRLS on a smoothed objective followed by exact coordinate-wise
-weighted-median polishing.
+deviation regression on that calibration set, solved exactly by basis
+exchange with the linear program's dual as its optimality certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .factors import FactorModel
 
@@ -27,10 +26,18 @@ __all__ = [
     "misspecification_bound",
 ]
 
-# Smoothing schedule for sqrt(r^2 + mu^2); decades from loose to tight.
-_IRLS_SCHEDULE = tuple(10.0 ** (-e) for e in range(2, 9))
-_IRLS_STAGE_CAP = 12
-_MAX_POLISH_SWEEPS = 50
+# Fixed-mu IRLS steps before the first vertex, mu a fraction of the median
+# absolute least-squares residual; they cut the pivot count by about 2/3.
+_IRLS_STEPS = 10
+_IRLS_MU = 0.1
+# Residuals within this multiple of max(1, max|z|) count as zero: float
+# noise only, since with k = n - 1 the true residuals are about 1e-8.
+_ZERO_BAND = 1e-12
+# Slack on the dual certificate |u_j| <= 1, and the pivot cap per factor.
+_DUAL_TOL = 1e-9
+_PIVOTS_PER_FACTOR = 20
+# A starting basis worse conditioned than this is replaced.
+_MAX_CONDITION = 1e12
 
 
 class RankDeficientError(ValueError):
@@ -77,141 +84,20 @@ def select_calibration_set(z: np.ndarray, fraction: float) -> CalibrationSet:
     return CalibrationSet(indices=indices, fraction=fraction)
 
 
-def _objective(design: np.ndarray, z: np.ndarray, beta: np.ndarray) -> float:
-    return float(np.sum(np.abs(z - design @ beta)))
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    """Smallest v with cumulative weight at least half the total."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(values[order[idx]])
-
-
-def _polish(design, z, beta, tol, max_sweeps=_MAX_POLISH_SWEEPS):
-    """Coordinate-wise L1 minimization via exact weighted medians.
-
-    Each coordinate move is an exact line minimization, so the objective is
-    nonincreasing; sweeps stop once the objective stalls or every move is
-    negligible against the coefficient scale.
-    """
-    beta = beta.copy()
-    k = design.shape[1]
-    columns = [design[:, h] for h in range(k)]
-    nonzero = [col != 0.0 for col in columns]
-    weights = [np.abs(col[nz]) for col, nz in zip(columns, nonzero)]
-    sweeps = 0
-    last_objective = _objective(design, z, beta)
-    for _ in range(max_sweeps):
-        sweeps += 1
-        residual = z - design @ beta
-        moved = 0.0
-        for h in range(k):
-            nz = nonzero[h]
-            if not weights[h].size:
-                continue
-            col = columns[h]
-            partial = residual[nz] + col[nz] * beta[h]
-            best = _weighted_median(partial / col[nz], weights[h])
-            delta = best - beta[h]
-            if delta != 0.0:
-                residual -= col * delta
-                beta[h] = best
-                moved = max(moved, abs(delta))
-        if moved <= tol * (1.0 + float(np.linalg.norm(beta))):
-            break
-        objective = _objective(design, z, beta)
-        if objective >= last_objective * (1.0 - 1e-12):
-            break
-        last_objective = objective
-    return beta, sweeps
-
-
-def _vertex_refine(design, z, beta):
-    """Exact interpolation through the smallest-residual rows.
-
-    A generic L1 optimum passes through k data rows; solving through the k
-    rows with smallest |residual| (plus a few single-row swaps) jumps from a
-    nearby point onto the exact vertex. Keeps the best objective seen.
-    """
-    m, k = design.shape
-    if m < k:
-        return beta
-    order = np.argsort(np.abs(z - design @ beta), kind="stable")
-    best = beta
-    best_objective = _objective(design, z, beta)
-    base = order[:k].copy()
-    trials = [None]
-    trials += [(i, j) for i in range(max(0, k - 3), k) for j in range(k, min(m, k + 4))]
-    for trial in trials:
-        rows = base.copy()
-        if trial is not None:
-            rows[trial[0]] = order[trial[1]]
-        try:
-            candidate = np.linalg.solve(design[rows], z[rows])
-        except np.linalg.LinAlgError:
-            continue
-        objective = _objective(design, z, candidate)
-        if objective < best_objective:
-            best, best_objective = candidate, objective
-    return best
-
-
-def _certificate(design, z, beta, tol, scale) -> bool:
-    """Coordinate-wise subgradient optimality check for the L1 objective.
-
-    Residuals are counted as zero at the solver tolerance times the data
-    scale; exact zeros only occur in exact arithmetic.
-    """
-    residual = z - design @ beta
-    zero = np.abs(residual) <= max(tol, 1e-12) * scale
-    signs = np.sign(residual)
-    signs[zero] = 0.0
-    gradient = design.T @ signs
-    abs_design = np.abs(design)
-    slack = np.sum(abs_design[zero], axis=0) + tol * np.sum(abs_design, axis=0)
-    return bool(np.all(np.abs(gradient) <= slack))
-
-
-def _irls_pass(design, z, beta, schedule, tol, budget):
-    """Smoothed-objective IRLS steps; returns the iterate and step count."""
-    iterations = 0
-    for mu in schedule:
-        for _ in range(_IRLS_STAGE_CAP):
-            if iterations >= budget:
-                return beta, iterations
-            residual = z - design @ beta
-            weights = 1.0 / np.sqrt(np.square(residual) + mu * mu)
-            weighted = design * weights[:, None]
-            gram = design.T @ weighted
-            rhs = weighted.T @ z
-            try:
-                updated = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                updated, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            step = float(np.linalg.norm(updated - beta))
-            beta = updated
-            iterations += 1
-            if step <= max(0.05 * mu, tol * (1.0 + float(np.linalg.norm(beta)))):
-                break
-    return beta, iterations
-
-
-def lad_regress(
-    loadings_sub: np.ndarray,
-    z_sub: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-) -> FactorFit:
+def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     """Least-absolute-deviation fit of factor values on a calibration set.
 
-    Minimizes sum_i |z_i - b_i . w| over w. IRLS on the smoothed objective
-    sqrt(r^2 + mu^2) with mu stepping from 1e-2 down to 1e-8 provides the
-    start; a weighted-median coordinate polish finishes, alternating with
-    short smoothed joint steps that move off coordinate-wise corners.
-    `converged` reports the subgradient certificate, and the best iterate is
-    returned either way.
+    Minimizes sum_i |z_i - b_i . w| over w by basis exchange, the L1 simplex
+    of Barrodale and Roberts (1973). A vertex fits k basis rows B exactly.
+    Its dual values solve X_B' u = -X_N' sign(r_N) over the other rows N,
+    and it is optimal exactly when every |u_j| <= 1: `converged` is this
+    certificate, checked on a fresh inverse of X_B. Otherwise the row with
+    the largest |u_j| leaves, and an exact line search along the edge that
+    frees it picks the row that enters. The first basis is the k rows with
+    the smallest residuals after a least-squares fit and a few IRLS steps;
+    `iterations` counts those steps plus the pivots. Each pivot lowers the
+    objective or keeps it, so a fit that hits the pivot cap returns its
+    last vertex, the best seen, with `converged=False`.
     """
     design = np.asarray(loadings_sub, dtype=float)
     z = np.asarray(z_sub, dtype=float)
@@ -223,30 +109,61 @@ def lad_regress(
     if np.linalg.matrix_rank(design) < k:
         raise RankDeficientError(f"design has rank below {k}")
 
-    scale = max(1.0, float(np.max(np.abs(z))) if z.size else 1.0)
-    start, *_ = np.linalg.lstsq(design, z, rcond=None)
-    beta, iterations = _irls_pass(design, z, start.copy(), _IRLS_SCHEDULE, tol, max_iter)
-
-    # Polish from the best candidate so the objective can never regress
-    # below the plain least-squares start or the zero vector.
-    candidates = [beta, start, np.zeros(k)]
-    beta = min(candidates, key=lambda b: _objective(design, z, b))
-    for _ in range(4):
-        beta, sweeps = _polish(design, z, beta, tol)
-        iterations += sweeps
-        before = _objective(design, z, beta)
-        if iterations >= max_iter:
+    band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
+    # Start: least squares, then IRLS steps on sqrt(r^2 + mu^2) at one mu.
+    beta = np.linalg.solve(design.T @ design, design.T @ z)
+    mu = max(_IRLS_MU * float(np.median(np.abs(z - design @ beta))), band)
+    for _ in range(_IRLS_STEPS):
+        weights = 1.0 / np.sqrt(np.square(z - design @ beta) + mu * mu)
+        weighted = design * weights[:, None]
+        beta = np.linalg.solve(design.T @ weighted, weighted.T @ z)
+    residual = z - design @ beta
+    basis = np.argsort(np.abs(residual), kind="stable")[:k]
+    if np.linalg.cond(design[basis]) > _MAX_CONDITION:
+        basis = scipy.linalg.qr(design.T, pivoting=True)[2][:k]
+    # Residual signs of the non-basic rows, 0 on the basis. A row whose
+    # residual is within the zero band keeps the sign it was last given.
+    signs = np.where(residual < 0.0, -1.0, 1.0)
+    signs[basis] = 0.0
+    inverse = np.linalg.inv(design[basis])
+    fresh, converged, pivots = True, False, 0
+    while True:
+        beta = inverse @ z[basis]
+        residual = z - design @ beta
+        residual[basis] = 0.0
+        moved = np.abs(residual) > band
+        signs[moved] = np.sign(residual[moved])
+        dual = -(signs @ design) @ inverse
+        j = int(np.argmax(np.abs(dual)))
+        if abs(dual[j]) <= 1.0 + _DUAL_TOL:
+            if fresh:
+                converged = True
+                break
+            inverse, fresh = np.linalg.inv(design[basis]), True
+            continue
+        if pivots == _PIVOTS_PER_FACTOR * k:
             break
-        nudged = _vertex_refine(design, z, beta)
-        iterations += 1
-        if _objective(design, z, nudged) >= before * (1.0 - 1e-12) - 1e-15:
-            break
-        beta = nudged
-    converged = _certificate(design, z, beta, tol, scale)
+        # Row j leaves: along the edge its residual is -tau * sigma, the
+        # other basic rows stay exact, and the slope starts at 1 - |u_j|.
+        sigma = -np.sign(dual[j])
+        along = design @ (sigma * inverse[:, j])
+        crossing = np.flatnonzero(signs * along > 0.0)
+        order = crossing[np.argsort(np.maximum(residual[crossing] / along[crossing], 0.0), kind="stable")]
+        slope = np.cumsum(2.0 * np.abs(along[order])) + 1.0 - abs(dual[j])
+        entering = order[int(np.argmax(slope >= 0.0))]
+        # Sherman-Morrison update of X_B^-1 for the row exchange.
+        row = design[entering] @ inverse
+        column = inverse[:, j] / row[j]
+        row[j] -= 1.0
+        inverse -= np.outer(column, row)
+        signs[basis[j]], signs[entering] = -sigma, 0.0
+        basis[j] = entering
+        pivots += 1
+        fresh = False
     return FactorFit(
         w_hat=beta,
-        objective=_objective(design, z, beta),
-        iterations=iterations,
+        objective=float(np.sum(np.abs(z - design @ beta))),
+        iterations=_IRLS_STEPS + pivots,
         converged=converged,
     )
 

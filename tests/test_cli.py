@@ -98,6 +98,16 @@ class TestEstimateCommand:
         assert code == 2
         assert "z.csv:400: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["1.5", "0", "-0.2"])
+    def test_threshold_outside_unit_interval_is_input_error(self, tmp_path, identity_sigma, capsys, t):
+        z_path = tmp_path / "z.csv"
+        write_vector(z_path, np.random.default_rng(0).standard_normal(400))
+        code = main(
+            ["estimate", "--sigma", str(identity_sigma), "--z", str(z_path), "--t", t, "--epsilon", "0.06"]
+        )
+        assert code == 2
+        assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+
 
 class TestControlCommand:
     def test_closed_form_inversion(self, tmp_path, capsys):

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "62bc5ef4dcf8f7854fe9effacbe459dca55229ee44f8dba827c7702bd621e766",
-        "estimate.json": "6ba6a9057e618d4b487e21330bc30d605e687645032c1da82bb1f2c5928c18a2",
+        "control.json": "57f6ae90e1ba940bc7b458fd1232cf7745d47493b1415e11ba2eedfa63813833",
+        "estimate.json": "06b8dd1076237146b3c815b08d653d2d7a3cbfadcde4111429712af7d16c5079",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "675e1155437c5025bd4cb61adae47b2b312cea80c00197b9c81373be1ced5fed",
         "convergence_p40_t0.1.csv": "66ab67b3ea942429c699c6a4d502c1ded0d744b60eea0e869dfd83bbfa865a0b",
         "convergence_p60_t0.05.csv": "8af2e5f08fc1485fa82e3d681a6e81f2af578e0f1390181e34073917538782f2",
         "convergence_p60_t0.1.csv": "cd466f3a371b9e613fb232b855aaa36c20c6c4e4f9f7e45a2ff6fb0089771803",
-        "convergence_summary.json": "9522754dde0caa2f2b010a1b37fd01f9c088b2f62c23342d248d4b8c93268efd",
+        "convergence_summary.json": "70160977574c4c71c65ee6234af0a5bb4788b8c327c2e8d3bd1695498ed1e071",
     },
     "experiment": {
-        "aggregates.json": "6f36e8fc1c248152eecd98097023bc479c910609b02e23db543587cf777c8084",
-        "records.csv": "2fd8b198beeab4b343689101092832351c0c2043d9eb1d5deacb89695c333dd0",
+        "aggregates.json": "5b7122fa7cfd7eb8ae31a1456c4fcf88fd20f3af998c8a2b44d0759574e160f7",
+        "records.csv": "4f4530892d6f29e511520cf66c468a7014b86dd5feed2ce51df468fd48ce31f9",
     },
     "experiment_random_no_estimators": {
-        "aggregates.json": "3702d3e7b0dc38dab8136e68b9e2f15cd850c9be10e268633b9ec5bb336ace3f",
-        "records.csv": "a871dcc912bf71acfd4d0fdf90a7fc3f77b241001d64867e3461a59f74a56988",
+        "aggregates.json": "4d317677dd013a24526266777bf84b2138bab3b33b27a464701236a7ebaadf3a",
+        "records.csv": "1682a490f44fadc4807afcbd49b639de7ff188313a5364de7f9ab93bf5325bb9",
     },
     "variance_study": {
-        "variance.json": "1495687bf5d085c6f3b419beaf7806d8fce5e0592e76b653f570be4ecf279680",
+        "variance.json": "fb1fd1e58a4a5e07a3d031481992f5e93f3141075cded363e4452c76ca21b075",
     },
 }
 

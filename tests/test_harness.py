@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import pfa.harness
 from pfa.harness import (
     ExperimentConfig,
     _draw_statistics,
@@ -15,6 +17,7 @@ from pfa.harness import (
     run_experiment,
     write_output,
 )
+from pfa.lad import lad_regress
 from pfa.linalg import equal_correlation
 from pfa.simulate import Scenario
 
@@ -141,8 +144,10 @@ class TestRunExperiment:
         row = output.records[0]
         assert row["fdp_pfa"] is None
         assert row["fdp_bh_proc"] is None
+        assert row["lad_converged"] is None
         summary = output.aggregates["per_t"][repr(0.01)]
         assert "mean_fdp_pfa" not in summary
+        assert "n_lad_uncertified" not in summary
         assert "mean_V" in summary
 
     def test_random_placement_logged(self):
@@ -157,6 +162,19 @@ class TestRunExperiment:
         assert output.aggregates["config"]["seed"] == 99
         assert output.aggregates["version"]
         assert output.aggregates["config"]["scenario"]["kind"] == "two_factor"
+
+    def test_uncertified_fits_are_counted(self, monkeypatch):
+        def uncertified(*args):
+            return dataclasses.replace(lad_regress(*args), converged=False)
+
+        certified = run_experiment(small_config())
+        monkeypatch.setattr(pfa.harness, "lad_regress", uncertified)
+        output = run_experiment(small_config())
+        assert {row["lad_converged"] for row in certified.records} == {1}
+        assert {row["lad_converged"] for row in output.records} == {0}
+        for t in (0.01, 0.05):
+            assert certified.aggregates["per_t"][repr(t)]["n_lad_uncertified"] == 0
+            assert output.aggregates["per_t"][repr(t)]["n_lad_uncertified"] == 8
 
     def test_record_cells_are_plain_python(self):
         # numpy scalars would be written with their numpy-2 repr, "np.float64(...)"
@@ -173,6 +191,8 @@ class TestOutputFiles:
         loaded = load_output(tmp_path)
         assert loaded.records == output.records
         assert loaded.aggregates == output.aggregates
+        assert {row["lad_converged"] for row in loaded.records} == {1}
+        assert loaded.aggregates["per_t"][repr(0.01)]["n_lad_uncertified"] == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()
@@ -185,12 +205,14 @@ class TestOutputFiles:
         output = run_experiment(small_config())
         write_output(output, tmp_path)
         path = tmp_path / "aggregates.json"
-        data = json.loads(path.read_text())
+        written = path.read_text()
         key = repr(0.01)
-        data["per_t"][key]["mean_V"] = data["per_t"][key]["mean_V"] + 0.5
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="mean_V"):
-            load_output(tmp_path)
+        for name, shift in (("mean_V", 0.5), ("n_lad_uncertified", 1)):
+            data = json.loads(written)
+            data["per_t"][key][name] = data["per_t"][key][name] + shift
+            path.write_text(json.dumps(data))
+            with pytest.raises(ValueError, match=name):
+                load_output(tmp_path)
 
 
 class TestRunEstimate:

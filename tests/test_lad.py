@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import pfa.lad
 from pfa.factors import FactorModel, FactorRealization, build_factor_model, fdp_numerator
 from pfa.gauss import two_sided_pvalue
+from pfa.harness import ExperimentConfig, _draw_statistics, prepare_scenario
 from pfa.lad import (
     RankDeficientError,
     ZeroEigenvalueError,
@@ -14,6 +17,7 @@ from pfa.lad import (
     select_calibration_set,
 )
 from pfa.linalg import equal_correlation, spectral_decompose
+from pfa.simulate import Scenario
 
 
 def l1_objective(design, z, beta):
@@ -150,6 +154,78 @@ class TestLadRegress:
         fit = lad_regress(design, z)
         target = l1_objective(design, z, np.array([np.median(z)]))
         assert fit.objective <= target + 1e-9 * (1.0 + abs(target))
+
+
+def highs_objective(design, z):
+    """L1 objective at the HiGHS solution of min 1'(r+ + r-) s.t. Xw + r+ - r- = z."""
+    m, k = design.shape
+    result = linprog(
+        np.concatenate([np.zeros(k), np.ones(2 * m)]),
+        A_eq=np.hstack([design, np.eye(m), -np.eye(m)]),
+        b_eq=z,
+        bounds=[(None, None)] * k + [(0.0, None)] * (2 * m),
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return l1_objective(design, z, result.x[:k])
+
+
+def random_instance(seed):
+    """A small LAD instance; every third one is integer-valued, with ties."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(8, 80)), int(rng.integers(1, 7))
+    if seed % 3 == 0:
+        return rng.integers(-2, 3, size=(m, k)).astype(float), rng.integers(-3, 4, size=m).astype(float)
+    design = rng.standard_normal((m, k))
+    return design, design @ rng.standard_normal(k) + rng.standard_cauchy(m)
+
+
+def repeated_rows_instance():
+    """The two smallest residuals of the start sit on one repeated row."""
+    design = np.vstack([np.tile([1.0, 0.0], (6, 1)), np.tile([0.0, 1.0], (5, 1)), [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]]])
+    return design, np.concatenate([np.zeros(11), [5.0, 7.0, 6.0]])
+
+
+def scenario_instances():
+    """Calibration-set fits of three replications of a k = 91 scenario."""
+    config = ExperimentConfig(
+        scenario=Scenario(kind="two_factor", p=1000, n=100), t_grid=(0.01,), n_reps=3, seed=7, epsilon=0.01
+    )
+    state = prepare_scenario(config)
+    _, statistics = next(_draw_statistics(config, state))
+    for z in statistics:
+        rows = select_calibration_set(z, config.calibration_fraction).indices
+        yield state.model.loadings[rows], z[rows]
+
+
+class TestLadMatchesLinearProgram:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances(self, seed):
+        self._check(*random_instance(seed))
+
+    def test_repeated_rows(self):
+        self._check(*repeated_rows_instance())
+
+    def test_scenario_calibration_fits(self):
+        for design, z in scenario_instances():
+            assert design.shape == (750, 91)
+            self._check(design, z)
+
+    def test_pivot_cap_returns_best_vertex_uncertified(self, monkeypatch):
+        design, z = random_instance(1)
+        optimum = lad_regress(design, z)
+        monkeypatch.setattr(pfa.lad, "_PIVOTS_PER_FACTOR", 0)
+        capped = lad_regress(design, z)
+        assert optimum.iterations > capped.iterations
+        assert not capped.converged
+        assert capped.objective == pytest.approx(l1_objective(design, z, capped.w_hat), rel=1e-12)
+        assert capped.objective > optimum.objective
+
+    @staticmethod
+    def _check(design, z):
+        fit = lad_regress(design, z)
+        assert fit.converged
+        assert fit.objective <= highs_objective(design, z) * (1.0 + 1e-9)
 
 
 class TestLsRegress:
