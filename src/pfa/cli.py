@@ -59,6 +59,11 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
     for flag, key in (
@@ -82,6 +87,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    # Argument ranges are checked before the matrix is read and decomposed.
+    _require(0.0 < args.t < 1.0, f"threshold must lie in (0, 1), got {args.t}")
+    _require(0.0 < args.epsilon < 1.0, f"epsilon must lie in (0, 1), got {args.epsilon}")
+    _require(0.0 < args.fraction <= 1.0, f"fraction must lie in (0, 1], got {args.fraction}")
     sigma = read_matrix_csv(args.sigma)
     z = read_vector_csv(args.z)
     report = run_estimate(
@@ -96,6 +105,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
+    _require(0.0 < args.alpha < 1.0, f"alpha must lie in (0, 1), got {args.alpha}")
+    _require(0.0 < args.epsilon < 1.0, f"epsilon must lie in (0, 1), got {args.epsilon}")
+    _require(args.p1 >= 0, f"p1 must not be negative, got {args.p1}")
+    _require(args.mc >= 1, f"mc must be positive, got {args.mc}")
+    _require(args.tol > 0.0, f"tol must be positive, got {args.tol}")
     sigma = read_matrix_csv(args.sigma)
     system = spectral_decompose(sigma)
     k = select_num_factors(system.values, args.epsilon)

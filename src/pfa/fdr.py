@@ -132,6 +132,8 @@ def solve_threshold(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     draws = standard_factor_draws(model.k, n_mc, seed)
 
     def curve(t: float) -> float:

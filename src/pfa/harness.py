@@ -7,6 +7,11 @@ counts and the estimators. Every random stream is a spawn of the master
 seed keyed by purpose (design, replication index, Monte-Carlo draws), so
 output is bit-identical for a given config regardless of thread count.
 
+The p x p sample correlation Sigma = X'X / (n-1) of the standardized n x p
+design X has rank below n, and no harness path forms it: its spectrum comes
+from a thin SVD of X, and each replication draws n standard normals g and
+takes mu + X'g / sqrt(n-1), which is exactly N(mu, Sigma), at O(np) a draw.
+
 Outputs are a per-replication CSV plus an aggregates JSON that embeds the
 config, seed, and library version; the loader recomputes the record-derived
 aggregates and refuses output that does not match.
@@ -39,13 +44,8 @@ from .factors import (
 from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
-from .linalg import CorrelationMatrix, spectral_decompose, symmetric_sqrt
-from .simulate import (
-    Scenario,
-    generate_design,
-    realized_counts,
-    sample_correlation,
-)
+from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose, tail_energy
+from .simulate import Scenario, generate_design, realized_counts, standardize
 
 __all__ = [
     "ExperimentConfig",
@@ -161,9 +161,8 @@ class ScenarioState:
 
     scenario: Scenario
     key: tuple[int, ...]
-    sigma_hat: CorrelationMatrix
+    x: np.ndarray  # standardized n x p design over sqrt(n-1): x'x is sigma_hat
     sds: np.ndarray
-    root: np.ndarray
     model: FactorModel
     mu: np.ndarray
     true_nulls: np.ndarray
@@ -172,6 +171,11 @@ class ScenarioState:
     @property
     def k(self) -> int:
         return self.model.k
+
+    @property
+    def sigma_hat(self) -> CorrelationMatrix:
+        """The p x p sample correlation x'x, built on each access."""
+        return CorrelationMatrix.from_gram(self.x.T @ self.x)
 
 
 @dataclass
@@ -191,10 +195,9 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     (run_convergence keys one per dimension).
     """
     rng = substream(config.seed, _NS_DESIGN, *key)
-    design = generate_design(config.scenario, rng)
-    sigma_hat, sds = sample_correlation(design)
-    system = spectral_decompose(sigma_hat)
-    root = symmetric_sqrt(system)
+    standardized, sds = standardize(generate_design(config.scenario, rng))
+    x = standardized / np.sqrt(config.scenario.n - 1)
+    system = gram_spectrum(x)
     k = select_num_factors(system.values, config.epsilon)
     model = build_factor_model(system, k)
     p, p1 = config.scenario.p, config.scenario.p1
@@ -209,9 +212,8 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     return ScenarioState(
         scenario=config.scenario,
         key=tuple(key),
-        sigma_hat=sigma_hat,
+        x=x,
         sds=sds,
-        root=root,
         model=model,
         mu=mu,
         true_nulls=np.flatnonzero(mask),
@@ -275,16 +277,19 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
 
 
 def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 512):
-    """(reps, statistics) chunks of the N(mu, Sigma) draws of every replication.
+    """(reps, statistics) chunks of the N(mu, x'x) draws of every replication.
 
-    Each replication takes its noise from its own substream.
+    Each replication takes its n standard normals g from its own substream
+    and draws mu + g @ x.
     """
     for start in range(0, config.n_reps, chunk_size):
         reps = range(start, min(start + chunk_size, config.n_reps))
         noise = np.stack(
-            [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.p) for rep in reps]
+            [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.n) for rep in reps]
         )
-        yield reps, state.mu + noise @ state.root
+        statistics = noise @ state.x
+        statistics += state.mu
+        yield reps, statistics
 
 
 def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -349,6 +354,7 @@ def run_experiment(config: ExperimentConfig, chunk_size: int = 512) -> Experimen
         "version": __version__,
         "config": config.to_dict(),
         "k": state.k,
+        "tail_energy_at_k": tail_energy(state.model.eigenvalues, state.k),
         "n_degenerate_rows": int(state.model.degenerate_rows.size),
         "false_nulls": state.false_nulls.tolist(),
         "per_t": {},
@@ -397,6 +403,7 @@ def variance_study(
         "version": __version__,
         "config": config.to_dict(),
         "k": state.k,
+        "tail_energy_at_k": tail_energy(state.model.eigenvalues, state.k),
         "t": float(t),
         "mean_V": float(np.mean(counts)),
         "var_V_empirical": float(np.var(counts, ddof=1)),

@@ -38,6 +38,9 @@ _DUAL_TOL = 1e-9
 _PIVOTS_PER_FACTOR = 20
 # A starting basis worse conditioned than this is replaced.
 _MAX_CONDITION = 1e12
+# A Gram matrix whose smallest eigenvalue exceeds this share of its largest
+# has full rank beyond rounding doubt; any other design gets the SVD test.
+_GRAM_FULL_RANK = 1e-8
 
 
 class RankDeficientError(ValueError):
@@ -91,7 +94,9 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     of Barrodale and Roberts (1973). A vertex fits k basis rows B exactly.
     Its dual values solve X_B' u = -X_N' sign(r_N) over the other rows N,
     and it is optimal exactly when every |u_j| <= 1: `converged` is this
-    certificate, checked on a fresh inverse of X_B. Otherwise the row with
+    certificate, checked on a fresh inverse of X_B, or at a degenerate
+    vertex the same test with every exactly fitted row in the dual (see
+    `_degenerate_certificate`). Otherwise the row with
     the largest |u_j| leaves, and an exact line search along the edge that
     frees it picks the row that enters. The first basis is the k rows with
     the smallest residuals after a least-squares fit and a few IRLS steps;
@@ -106,12 +111,14 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
         raise ValueError("at least one factor is required")
     if m < k:
         raise ValueError(f"need at least as many rows as factors: m={m}, k={k}")
-    if np.linalg.matrix_rank(design) < k:
+    gram = design.T @ design
+    spectrum = np.linalg.eigvalsh(gram)
+    if spectrum[0] <= _GRAM_FULL_RANK * spectrum[-1] and np.linalg.matrix_rank(design) < k:
         raise RankDeficientError(f"design has rank below {k}")
 
     band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
     # Start: least squares, then IRLS steps on sqrt(r^2 + mu^2) at one mu.
-    beta = np.linalg.solve(design.T @ design, design.T @ z)
+    beta = np.linalg.solve(gram, design.T @ z)
     mu = max(_IRLS_MU * float(np.median(np.abs(z - design @ beta))), band)
     for _ in range(_IRLS_STEPS):
         weights = 1.0 / np.sqrt(np.square(z - design @ beta) + mu * mu)
@@ -141,6 +148,9 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
                 break
             inverse, fresh = np.linalg.inv(design[basis]), True
             continue
+        if np.count_nonzero(~moved) > k and _degenerate_certificate(design[~moved], signs[moved] @ design[moved]):
+            converged = True
+            break
         if pivots == _PIVOTS_PER_FACTOR * k:
             break
         # Row j leaves: along the edge its residual is -tau * sigma, the
@@ -166,6 +176,20 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
         iterations=_IRLS_STEPS + pivots,
         converged=converged,
     )
+
+
+def _degenerate_certificate(exact: np.ndarray, pull: np.ndarray) -> bool:
+    """Whether the rows fitted exactly can balance the pull of the others.
+
+    At a degenerate vertex more than k rows have zero residual, and each of
+    them, not only the basic ones, may take a dual value in [-1, 1]. The
+    vertex is optimal when some such values s solve exact' s = -pull; the
+    least-norm solution is tried. With k = n - 1 factors the statistics of
+    the true nulls lie in the span of the loadings, so every null row of the
+    calibration set is fitted exactly and the basis alone cannot certify.
+    """
+    dual = exact @ np.linalg.solve(exact.T @ exact, -pull)
+    return float(np.max(np.abs(dual))) <= 1.0 + _DUAL_TOL
 
 
 def ls_regress(model: FactorModel, z: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra for correlation matrices.
+"""Symmetric linear algebra for correlation matrices.
 
 Correlation matrices here are exactly symmetric with an exactly unit
 diagonal; eigenvalues that come out slightly negative (sample matrices
@@ -19,8 +19,8 @@ __all__ = [
     "EigenSystem",
     "equal_correlation",
     "spectral_decompose",
+    "gram_spectrum",
     "tail_energy",
-    "symmetric_sqrt",
 ]
 
 # Eigenvalues below -EIG_CLAMP_TOL * p are treated as genuinely negative.
@@ -61,10 +61,17 @@ class CorrelationMatrix:
         entries = np.asarray(entries, dtype=float)
         return cls(dim=entries.shape[0], entries=entries)
 
+    @classmethod
+    def from_gram(cls, gram: np.ndarray) -> "CorrelationMatrix":
+        """Gram matrix of unit-norm columns, made exactly symmetric with unit diagonal."""
+        entries = (gram + gram.T) / 2.0
+        np.fill_diagonal(entries, 1.0)
+        return cls.from_entries(entries)
+
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues in descending order with orthonormal eigenvector columns."""
+    """Full spectrum, descending, with orthonormal eigenvector columns for its leading values."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -100,17 +107,22 @@ def spectral_decompose(sigma: CorrelationMatrix) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
+def gram_spectrum(x: np.ndarray) -> EigenSystem:
+    """Eigensystem of x'x from a thin SVD of the n x p matrix x, never forming x'x.
+
+    Eigenvalues: the squared singular values, zero-padded to length p.
+    Vectors: the min(n, p) right singular vectors.
+    """
+    x = np.asarray(x, dtype=float)
+    vectors, singular, _ = np.linalg.svd(x.T, full_matrices=False)
+    values = np.zeros(x.shape[1])
+    values[: singular.size] = np.square(singular)
+    return EigenSystem(values=values, vectors=vectors)
+
+
 def tail_energy(values: np.ndarray, k: int) -> float:
     """Frobenius norm of the spectrum beyond the first k eigenvalues."""
     values = np.asarray(values, dtype=float)
     if k < 0 or k > values.shape[0]:
         raise IndexError(f"k={k} outside [0, {values.shape[0]}]")
     return float(np.sqrt(np.sum(np.square(values[k:]))))
-
-
-def symmetric_sqrt(system: EigenSystem) -> np.ndarray:
-    """Symmetric square root M with M @ M equal to the decomposed matrix."""
-    if system.values[-1] < 0.0:
-        raise NotPSDError("cannot take the square root of a negative eigenvalue")
-    root = (system.vectors * np.sqrt(system.values)) @ system.vectors.T
-    return (root + root.T) / 2.0

@@ -22,6 +22,7 @@ __all__ = [
     "ConstantColumnError",
     "Scenario",
     "generate_design",
+    "standardize",
     "sample_correlation",
     "realized_counts",
 ]
@@ -132,8 +133,11 @@ def generate_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
     raise AssertionError(f"unhandled scenario kind {kind!r}")
 
 
-def sample_correlation(design: np.ndarray) -> tuple[CorrelationMatrix, np.ndarray]:
-    """Sample correlation matrix and per-column sample SDs (denominator n-1)."""
+def standardize(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered design with unit-SD columns, and the column SDs (denominator n-1).
+
+    Over sqrt(n-1), its Gram matrix is the sample correlation matrix.
+    """
     design = np.asarray(design, dtype=float)
     n = design.shape[0]
     centered = design - design.mean(axis=0)
@@ -141,11 +145,13 @@ def sample_correlation(design: np.ndarray) -> tuple[CorrelationMatrix, np.ndarra
     if np.any(sds == 0.0):
         bad = int(np.flatnonzero(sds == 0.0)[0])
         raise ConstantColumnError(f"design column {bad} is constant")
-    standardized = centered / sds
-    entries = (standardized.T @ standardized) / (n - 1)
-    entries = (entries + entries.T) / 2.0
-    np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix.from_entries(entries), sds
+    return centered / sds, sds
+
+
+def sample_correlation(design: np.ndarray) -> tuple[CorrelationMatrix, np.ndarray]:
+    """Sample correlation matrix and per-column sample SDs (denominator n-1)."""
+    standardized, sds = standardize(design)
+    return CorrelationMatrix.from_gram((standardized.T @ standardized) / (standardized.shape[0] - 1)), sds
 
 
 def realized_counts(z: np.ndarray, true_nulls: np.ndarray, t: float) -> tuple:

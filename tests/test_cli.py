@@ -158,6 +158,33 @@ class TestControlCommand:
         assert payload["side"] == "high"
 
 
+class TestArgumentsCheckedBeforeFiles:
+    """Bad cheap arguments exit 2 before the (possibly large) matrix is read."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("estimate", ["--t", "1.5"], "threshold must lie in (0, 1)"),
+            ("estimate", ["--t", "0.05", "--epsilon", "1.0"], "epsilon must lie in (0, 1)"),
+            ("estimate", ["--t", "0.05", "--fraction", "0"], "fraction must lie in (0, 1]"),
+            ("control", ["--p1", "5", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+            ("control", ["--p1", "5", "--alpha", "0.1", "--epsilon", "0"], "epsilon must lie in (0, 1)"),
+            ("control", ["--p1", "-1", "--alpha", "0.1"], "p1 must not be negative"),
+            ("control", ["--p1", "5", "--alpha", "0.1", "--mc", "0"], "mc must be positive"),
+            ("control", ["--p1", "5", "--alpha", "0.1", "--tol", "0"], "tol must be positive"),
+            ("control", ["--p1", "5", "--alpha", "0.1", "--tol", "-1"], "tol must be positive"),
+        ],
+    )
+    def test_argument_error_precedes_missing_file(self, tmp_path, capsys, command, flags, message):
+        missing = tmp_path / "absent.csv"
+        inputs = ["--sigma", str(missing)] + (["--z", str(missing)] if command == "estimate" else [])
+        code = main([command, *inputs, *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "absent.csv" not in err
+
+
 class TestSimulateCommand:
     def test_deterministic_output_files(self, tmp_path, capsys):
         config = {

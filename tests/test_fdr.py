@@ -103,6 +103,12 @@ class TestSolveThreshold:
             solve_threshold(1e-13, model, 1)
         assert info.value.side == "low"
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_non_positive_tolerance_rejected(self, tol):
+        # A tolerance no value can meet would bisect to the interval floor.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_threshold(0.15, model_with_k(100, 0.0, 0), 10, tol=tol)
+
 
 class TestBhProcedure:
     def test_hand_example(self):

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "57f6ae90e1ba940bc7b458fd1232cf7745d47493b1415e11ba2eedfa63813833",
-        "estimate.json": "06b8dd1076237146b3c815b08d653d2d7a3cbfadcde4111429712af7d16c5079",
+        "control.json": "09b0009c73a4f2e41cdb0bf7d15b827dc9490ccb0bfceaee35f2e6b0bb990679",
+        "estimate.json": "8c00f185cded0bc9d8bc76353e071bcd2ec44956d1f0bf27579b7194581f8cad",
     },
     "convergence": {
-        "convergence_p40_t0.05.csv": "675e1155437c5025bd4cb61adae47b2b312cea80c00197b9c81373be1ced5fed",
-        "convergence_p40_t0.1.csv": "66ab67b3ea942429c699c6a4d502c1ded0d744b60eea0e869dfd83bbfa865a0b",
-        "convergence_p60_t0.05.csv": "8af2e5f08fc1485fa82e3d681a6e81f2af578e0f1390181e34073917538782f2",
-        "convergence_p60_t0.1.csv": "cd466f3a371b9e613fb232b855aaa36c20c6c4e4f9f7e45a2ff6fb0089771803",
-        "convergence_summary.json": "70160977574c4c71c65ee6234af0a5bb4788b8c327c2e8d3bd1695498ed1e071",
+        "convergence_p40_t0.05.csv": "1380205094139d6566a87835c1f7d7db523ee92e3c27f667e7a50d9ebc9ffe92",
+        "convergence_p40_t0.1.csv": "dde561b813a9da53421314793304eacb6023dedcc8c13064a8cd4ab51de44dc2",
+        "convergence_p60_t0.05.csv": "36bc7ab486d050dae8adc8034891053caa1cef910776d63d78b625889c343dc1",
+        "convergence_p60_t0.1.csv": "4be2653aedb93af059dd648df86092c9c52efae1e3c3df8e04fe3b8dd9371baa",
+        "convergence_summary.json": "5a03fc8fe7e6d512bcb344fb60f5f4ca502faf62891667119a201b189d22e547",
     },
     "experiment": {
-        "aggregates.json": "5b7122fa7cfd7eb8ae31a1456c4fcf88fd20f3af998c8a2b44d0759574e160f7",
-        "records.csv": "4f4530892d6f29e511520cf66c468a7014b86dd5feed2ce51df468fd48ce31f9",
+        "aggregates.json": "909bab3dffd7501ca748b7912ec3619f1b93c5e1eac2eaa5729a3a0a68966c35",
+        "records.csv": "a1ffe1c1827e557155b2f931cfdcb95e3158ecf8a59299ee4d7615d48db0afd7",
     },
     "experiment_random_no_estimators": {
-        "aggregates.json": "4d317677dd013a24526266777bf84b2138bab3b33b27a464701236a7ebaadf3a",
-        "records.csv": "1682a490f44fadc4807afcbd49b639de7ff188313a5364de7f9ab93bf5325bb9",
+        "aggregates.json": "b1f2226c6e4e53e994753bf186d737ff6be44c393f413ba016e82f267b9d865c",
+        "records.csv": "95a0f7dcda4295d5575866c55e70658d6e9d11c2a0195d94b88a8524a5983eac",
     },
     "variance_study": {
-        "variance.json": "fb1fd1e58a4a5e07a3d031481992f5e93f3141075cded363e4452c76ca21b075",
+        "variance.json": "8bfaf91f18219b5eb83addf8408ca79daf3b03a7a4be5190d0f571c2bab43328",
     },
 }
 

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pfa.harness
+from pfa.factors import build_factor_model, select_num_factors
 from pfa.harness import (
+    _NS_DESIGN,
     ExperimentConfig,
     _draw_statistics,
     load_output,
@@ -15,11 +18,13 @@ from pfa.harness import (
     run_convergence,
     run_estimate,
     run_experiment,
+    substream,
+    variance_study,
     write_output,
 )
 from pfa.lad import lad_regress
-from pfa.linalg import equal_correlation
-from pfa.simulate import Scenario
+from pfa.linalg import equal_correlation, spectral_decompose, tail_energy
+from pfa.simulate import SCENARIO_KINDS, Scenario, generate_design, sample_correlation
 
 
 def small_config(**overrides):
@@ -103,6 +108,35 @@ class TestPrepareScenario:
         assert keyed.key == (0,) and unkeyed.key == ()
         assert not np.array_equal(keyed.sigma_hat.entries, unkeyed.sigma_hat.entries)
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_low_rank_path_matches_dense_path(self, kind):
+        config = small_config(scenario=Scenario(kind=kind, p=300, n=100, p1=5))
+        state = prepare_scenario(config)
+        sigma, sds = sample_correlation(generate_design(config.scenario, substream(config.seed, _NS_DESIGN)))
+        dense = spectral_decompose(sigma)
+        values = state.model.eigenvalues
+        assert values.shape == (300,)
+        assert np.max(np.abs(values - dense.values)) <= 1e-10 * dense.values[0]
+        assert state.k == select_num_factors(dense.values, config.epsilon)
+        dense_loadings = build_factor_model(dense, state.k).loadings
+        np.testing.assert_allclose(
+            state.model.loadings @ state.model.loadings.T, dense_loadings @ dense_loadings.T, rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(state.sigma_hat.entries, sigma.entries, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(state.sds, sds)
+
+    def test_no_p_by_p_array_is_built(self):
+        p = 4000
+        config = small_config(scenario=Scenario(kind="two_factor", p=p, n=100, p1=10), n_reps=512)
+        tracemalloc.start()
+        try:
+            state = prepare_scenario(config)
+            next(_draw_statistics(config, state))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 4
+
 
 class TestDrawStatistics:
     def test_identity_covariance_of_draws(self):
@@ -113,6 +147,16 @@ class TestDrawStatistics:
         assert draws.shape == (20000, 10)
         cov = np.cov(draws.T)
         assert np.max(np.abs(cov - np.eye(10))) < 0.05
+
+    def test_correlated_draws_have_covariance_sigma_hat(self):
+        scenario = Scenario(kind="equal_correlation", p=8, n=50, p1=2, rho=0.5)
+        config = small_config(scenario=scenario, n_reps=20000)
+        state = prepare_scenario(config)
+        draws = np.concatenate([chunk for _, chunk in _draw_statistics(config, state, 4096)])
+        sigma = state.sigma_hat.entries
+        assert np.min(sigma[~np.eye(8, dtype=bool)]) > 0.2
+        assert np.max(np.abs(np.cov(draws.T) - sigma)) < 0.05
+        assert np.max(np.abs(draws.mean(axis=0) - state.mu)) < 0.05
 
     def test_chunks_cover_every_replication_in_order(self):
         config = small_config(n_reps=7)
@@ -176,12 +220,32 @@ class TestRunExperiment:
             assert certified.aggregates["per_t"][repr(t)]["n_lad_uncertified"] == 0
             assert output.aggregates["per_t"][repr(t)]["n_lad_uncertified"] == 8
 
+    def test_fits_with_every_positive_factor_are_certified(self):
+        # With k = n - 1 the null statistics lie in the span of the loadings.
+        config = small_config(scenario=Scenario(kind="two_factor", p=300, n=100, p1=10), n_reps=3, epsilon=1e-6)
+        output = run_experiment(config)
+        assert output.aggregates["k"] == 99
+        assert {row["lad_converged"] for row in output.records} == {1}
+
     def test_record_cells_are_plain_python(self):
         # numpy scalars would be written with their numpy-2 repr, "np.float64(...)"
         output = run_experiment(small_config())
         for row in output.records:
             for name, value in row.items():
                 assert value is None or type(value) in (int, float), (name, type(value))
+
+
+class TestVarianceStudy:
+    def test_reports_tail_energy_at_k(self):
+        scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6)
+        result = variance_study(scenario, t=0.01, n_reps=50, n_mc=50, seed=5)
+        config = ExperimentConfig(
+            scenario=scenario, t_grid=(0.01,), n_reps=50, seed=5, n_mc=50, with_estimators=False
+        )
+        state = prepare_scenario(config)
+        assert result["k"] == state.k
+        assert result["tail_energy_at_k"] == tail_energy(state.model.eigenvalues, state.k)
+        assert 0.0 < result["tail_energy_at_k"] < 0.01 * scenario.p
 
 
 class TestOutputFiles:
@@ -193,6 +257,9 @@ class TestOutputFiles:
         assert loaded.aggregates == output.aggregates
         assert {row["lad_converged"] for row in loaded.records} == {1}
         assert loaded.aggregates["per_t"][repr(0.01)]["n_lad_uncertified"] == 0
+        state = prepare_scenario(small_config())
+        assert loaded.aggregates["k"] == state.k
+        assert loaded.aggregates["tail_energy_at_k"] == tail_energy(state.model.eigenvalues, state.k)
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()

@@ -98,6 +98,20 @@ class TestLadRegress:
         assert fit.objective <= 1e-9
         assert fit.converged
 
+    def test_degenerate_exact_fit_is_certified_without_pivots(self):
+        # Most rows fitted exactly: the basis alone cannot certify, the
+        # exactly fitted rows together do.
+        rng = np.random.default_rng(2)
+        design = rng.standard_normal((300, 60))
+        w0 = rng.standard_normal(60)
+        z = design @ w0
+        z[:3] += np.array([2.0, -1.5, 3.0])
+        fit = lad_regress(design, z)
+        assert fit.converged
+        assert fit.iterations == pfa.lad._IRLS_STEPS
+        np.testing.assert_allclose(fit.w_hat, w0, atol=1e-9)
+        assert fit.objective == pytest.approx(6.5, rel=1e-9)
+
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(2024)
         for _ in range(5):
@@ -139,6 +153,29 @@ class TestLadRegress:
         design = np.ones((10, 2))
         with pytest.raises(RankDeficientError):
             lad_regress(design, np.arange(10.0))
+
+    def test_nearly_collinear_column_rejected(self):
+        rng = np.random.default_rng(5)
+        design = rng.standard_normal((40, 4))
+        design[:, 3] = design[:, 1] + 1e-14 * rng.standard_normal(40)
+        singular = np.linalg.svd(design, compute_uv=False)
+        assert singular[-1] / singular[0] < 1e-13
+        assert np.linalg.matrix_rank(design) == 3
+        with pytest.raises(RankDeficientError):
+            lad_regress(design, rng.standard_normal(40))
+
+    def test_well_conditioned_design_skips_the_svd_rank_test(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        design, z = rng.standard_normal((60, 5)), rng.standard_normal(60)
+        expected = lad_regress(design, z)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called on a well-conditioned design")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        fit = lad_regress(design, z)
+        np.testing.assert_array_equal(fit.w_hat, expected.w_hat)
+        assert fit.converged
 
     def test_shape_preconditions(self):
         with pytest.raises(ValueError):

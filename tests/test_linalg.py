@@ -6,8 +6,8 @@ from pfa.linalg import (
     NotPSDError,
     NotSymmetricError,
     equal_correlation,
+    gram_spectrum,
     spectral_decompose,
-    symmetric_sqrt,
     tail_energy,
 )
 
@@ -56,6 +56,20 @@ def test_reconstruction_and_orthonormality():
         assert abs(system.values.sum() - p) <= 1e-6 * p
 
 
+@pytest.mark.parametrize("n, p", [(10, 40), (40, 10), (25, 25)])
+def test_gram_spectrum_matches_dense_decomposition(n, p):
+    x = np.random.default_rng(n * p).standard_normal((n, p))
+    system = gram_spectrum(x)
+    r = min(n, p)
+    assert system.values.shape == (p,) and system.vectors.shape == (p, r)
+    assert np.all(np.diff(system.values) <= 0.0) and np.all(system.values[r:] == 0.0)
+    dense = np.linalg.eigvalsh(x.T @ x)[::-1]
+    np.testing.assert_allclose(system.values, dense, rtol=0, atol=1e-12 * dense[0])
+    np.testing.assert_allclose(system.vectors.T @ system.vectors, np.eye(r), atol=1e-12)
+    rebuilt = (system.vectors * system.values[:r]) @ system.vectors.T
+    np.testing.assert_allclose(rebuilt, x.T @ x, atol=1e-10 * dense[0])
+
+
 def test_not_symmetric_rejected():
     entries = np.eye(3)
     entries[0, 1] = 0.2
@@ -101,29 +115,3 @@ def test_tail_energy_monotone_and_total():
 def test_tail_energy_bounds(k):
     with pytest.raises(IndexError):
         tail_energy(np.array([1.0, 1.0, 1.0]), k)
-
-
-def test_symmetric_sqrt_identity_and_diagonal():
-    identity = spectral_decompose(equal_correlation(4, 0.0))
-    np.testing.assert_allclose(symmetric_sqrt(identity), np.eye(4), atol=1e-12)
-    from pfa.linalg import EigenSystem
-
-    diag = EigenSystem(values=np.array([4.0, 1.0]), vectors=np.eye(2))
-    np.testing.assert_allclose(symmetric_sqrt(diag), np.diag([2.0, 1.0]), atol=0)
-
-
-def test_symmetric_sqrt_equicorrelation():
-    sigma = equal_correlation(4, 0.5)
-    root = symmetric_sqrt(spectral_decompose(sigma))
-    assert np.max(np.abs(root @ root - sigma.entries)) <= 1e-10
-
-
-def test_symmetric_sqrt_squares_back_on_random_matrices():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        p = int(rng.integers(2, 51))
-        n = int(rng.integers(max(3, p // 3), 3 * p + 2))
-        sigma = random_correlation(rng, p, n)
-        root = symmetric_sqrt(spectral_decompose(sigma))
-        assert np.linalg.norm(root @ root - sigma.entries) <= 1e-6 * p
-        assert np.array_equal(root, root.T)
