@@ -33,7 +33,7 @@ from .harness import (
 )
 from .lad import RankDeficientError, ZeroEigenvalueError
 from .linalg import NotPSDError, NotSymmetricError, spectral_decompose
-from .simulate import Scenario
+from .simulate import Scenario, check_keys
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -79,7 +79,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             data[key] = value
     if "seed" not in data or data["seed"] is None:
         raise ValueError("a seed is required: set it in the config or pass --seed")
-    config = ExperimentConfig.from_dict(data)
+    try:
+        config = ExperimentConfig.from_dict(data)
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
+        raise ValueError(f"{args.config}: {exc}") from None
     output = run_experiment(config)
     records_path, aggregates_path = write_output(output, args.out)
     sys.stdout.write(f"records: {records_path}\naggregates: {aggregates_path}\n")
@@ -114,15 +117,9 @@ def _cmd_control(args: argparse.Namespace) -> int:
     system = spectral_decompose(sigma)
     k = select_num_factors(system.values, args.epsilon)
     model = build_factor_model(system, k)
+    draws = standard_factor_draws(k, args.mc, args.seed)
     try:
-        result = solve_threshold(
-            args.alpha,
-            model,
-            args.p1,
-            n_mc=args.mc,
-            tol=args.tol,
-            seed=args.seed,
-        )
+        result = solve_threshold(args.alpha, model, args.p1, draws, tol=args.tol)
     except UnreachableAlphaError as exc:
         _emit(
             {
@@ -136,7 +133,6 @@ def _cmd_control(args: argparse.Namespace) -> int:
             args.out,
         )
         return EXIT_UNREACHABLE
-    draws = standard_factor_draws(k, args.mc, args.seed)
     grid = np.logspace(-10, np.log10(0.5), 40)
     curve = [
         {"t": float(t), "fdr": approx_fdr(float(t), model, args.p1, draws)}
@@ -148,8 +144,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
             "alpha": result.alpha,
             "t_star": result.t_star,
             "fdr_at_t": result.fdr_at_t,
-            "mc_draws": result.mc_draws,
-            "seed": result.seed,
+            "mc_draws": args.mc,
+            "seed": args.seed,
             "k": k,
             "p1": args.p1,
             "curve": curve,
@@ -161,16 +157,20 @@ def _cmd_control(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    scenario = Scenario.from_dict(data.get("scenario", {"kind": "two_factor"}))
-    summary = run_convergence(
-        scenario=scenario,
-        p_grid=tuple(int(p) for p in data["p_grid"]),
-        t_grid=tuple(float(t) for t in data["t_grid"]),
-        n_reps=int(data["n_reps"]),
-        seed=int(data["seed"]),
-        epsilon=float(data.get("epsilon", 0.01)),
-        out_dir=args.out,
-    )
+    required = ("p_grid", "t_grid", "n_reps", "seed")
+    try:
+        check_keys(data, "config", required, required + ("scenario", "epsilon"))
+        settings = dict(
+            scenario=Scenario.from_dict(data.get("scenario", {"kind": "two_factor"})),
+            p_grid=tuple(int(p) for p in data["p_grid"]),
+            t_grid=tuple(float(t) for t in data["t_grid"]),
+            n_reps=int(data["n_reps"]),
+            seed=int(data["seed"]),
+            epsilon=float(data.get("epsilon", 0.01)),
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
+        raise ValueError(f"{args.config}: {exc}") from None
+    summary = run_convergence(**settings, out_dir=args.out)
     sys.stdout.write(json.dumps(summary["ks"], indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -1,14 +1,17 @@
 """Principal-factor core: factor-count selection, factor models, and the
 false-discovery-proportion formulas driven by realized factor values.
 
-The central objects are a FactorModel (loadings sqrt(lambda_h)*gamma_h and
-residual precision scales a_i) and a FactorRealization (factor values W and
-the induced shifts eta_i). Conditional on a realization, the count of false
-discoveries at threshold t concentrates on
+A FactorModel holds the loadings B (column h is sqrt(lambda_h) * gamma_h)
+and the residual precision scales a_i. Given realized factors W, with
+shifts eta = B W, the count of false discoveries at threshold t
+concentrates on
 
     sum_i [ Phi(a_i (z_{t/2} + eta_i)) + Phi(a_i (z_{t/2} - eta_i)) ]
 
-and every estimator and limit formula here is a ratio built from such sums.
+`numerator_over_draws` evaluates this sum for every row of a matrix of
+factor realizations; one fitted or drawn realization is a one-row matrix.
+The estimate, the limiting FDP, the approximate FDR and the Monte-Carlo
+variance of the count are all sums or ratios of it.
 """
 
 from __future__ import annotations
@@ -22,15 +25,13 @@ from .linalg import EigenSystem
 
 __all__ = [
     "FactorModel",
-    "FactorRealization",
     "FdpReport",
     "select_num_factors",
     "build_factor_model",
-    "fdp_numerator",
+    "numerator_over_draws",
     "fdp_limit",
     "estimate_fdp",
     "standard_factor_draws",
-    "variance_of_false_count",
 ]
 
 # Rows whose residual variance 1 - sum_h b_ih^2 falls below this are
@@ -56,25 +57,6 @@ class FactorModel:
     a: np.ndarray               # (p,); (1 - sum_h b_ih^2)^(-1/2), capped
     eigenvalues: np.ndarray     # full spectrum, for diagnostics
     degenerate_rows: np.ndarray  # indices where the cap fired
-
-    @property
-    def has_degenerate_rows(self) -> bool:
-        return self.degenerate_rows.size > 0
-
-
-@dataclass(frozen=True)
-class FactorRealization:
-    """Realized factor values w and the induced per-hypothesis shifts eta."""
-
-    w: np.ndarray
-    eta: np.ndarray
-
-    @classmethod
-    def from_w(cls, model: FactorModel, w) -> "FactorRealization":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (model.k,):
-            raise ValueError(f"expected {model.k} factor values, got shape {w.shape}")
-        return cls(w=w, eta=model.loadings @ w)
 
 
 @dataclass(frozen=True)
@@ -131,31 +113,42 @@ def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
     )
 
 
-def _rejection_probabilities(z_half: float, a: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-hypothesis conditional rejection probabilities, each in [0, 2]."""
-    return norm_cdf(a * (z_half + shift)) + norm_cdf(a * (z_half - shift))
-
-
-def fdp_numerator(
+def numerator_over_draws(
     t: float,
     model: FactorModel,
-    realization: FactorRealization,
+    draws: np.ndarray,
     subset: np.ndarray | None = None,
-) -> float:
-    """Expected false-discovery count over `subset` given realized factors.
+    shift: np.ndarray | None = None,
+) -> np.ndarray:
+    """Conditional false-discovery count at threshold t, one per row of draws.
 
-    With subset equal to all indices this is the conservative surrogate used
-    by the estimator; with subset equal to the true nulls it is the exact
+    Each row of the (n, k) matrix `draws` is a factor realization W. Its
+    value is the sum over `subset` (all indices when None) of
+    Phi(a_i (z_{t/2} + s_i)) + Phi(a_i (z_{t/2} - s_i)) with s = B W + mu,
+    where mu is `shift`, the length-p mean shifts (zero when None). With
+    subset equal to all indices this is the conservative surrogate the
+    estimator uses; with subset equal to the true nulls it is the exact
     limiting count.
     """
     z_half = norm_quantile(0.5 * t)
     a = model.a
-    eta = realization.eta
+    loadings = model.loadings
     if subset is not None:
         subset = np.asarray(subset, dtype=np.intp)
         a = a[subset]
-        eta = eta[subset]
-    return float(np.sum(_rejection_probabilities(z_half, a, eta)))
+        loadings = loadings[subset]
+        if shift is not None:
+            shift = np.asarray(shift, dtype=float)[subset]
+    draws = np.asarray(draws, dtype=float)
+    n = draws.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, n)
+        eta = draws[start:stop] @ loadings.T
+        if shift is not None:
+            eta += shift
+        out[start:stop] = np.sum(norm_cdf(a * (z_half + eta)) + norm_cdf(a * (z_half - eta)), axis=1)
+    return out
 
 
 def fdp_limit(
@@ -163,17 +156,18 @@ def fdp_limit(
     model: FactorModel,
     mu: np.ndarray,
     true_nulls: np.ndarray,
-    realization: FactorRealization,
-) -> float:
-    """Limiting FDP given realized factors, mean shifts, and the null set."""
-    mu = np.asarray(mu, dtype=float)
-    z_half = norm_quantile(0.5 * t)
-    denom_terms = _rejection_probabilities(z_half, model.a, realization.eta + mu)
-    denominator = float(np.sum(denom_terms))
-    if denominator < DENOMINATOR_FLOOR:
-        return 0.0
-    numerator = fdp_numerator(t, model, realization, subset=true_nulls)
-    return min(numerator / denominator, 1.0)
+    draws: np.ndarray,
+) -> np.ndarray:
+    """Limiting FDP for each row of `draws`, given the mean shifts and the null set."""
+    denominator = numerator_over_draws(t, model, draws, shift=mu)
+    numerator = numerator_over_draws(t, model, draws, subset=true_nulls)
+    ratios = np.divide(
+        numerator,
+        denominator,
+        out=np.zeros_like(numerator),
+        where=denominator >= DENOMINATOR_FLOOR,
+    )
+    return np.minimum(ratios, 1.0)
 
 
 def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray) -> FdpReport:
@@ -190,8 +184,7 @@ def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray)
     n_rejected = int(np.count_nonzero(pvalues <= t))
     if n_rejected == 0:
         return FdpReport(threshold=t, n_rejected=0, est_false_count=0.0, fdp=0.0)
-    realization = FactorRealization.from_w(model, w_hat)
-    numerator = fdp_numerator(t, model, realization)
+    numerator = float(numerator_over_draws(t, model, np.asarray(w_hat, dtype=float)[None, :])[0])
     est_false = min(numerator, float(n_rejected))
     return FdpReport(
         threshold=t,
@@ -201,50 +194,7 @@ def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray)
     )
 
 
-def numerator_over_draws(
-    t: float,
-    model: FactorModel,
-    draws: np.ndarray,
-    subset: np.ndarray | None = None,
-) -> np.ndarray:
-    """fdp_numerator evaluated at each row of an (n, k) matrix of factor draws."""
-    z_half = norm_quantile(0.5 * t)
-    a = model.a
-    loadings = model.loadings
-    if subset is not None:
-        subset = np.asarray(subset, dtype=np.intp)
-        a = a[subset]
-        loadings = loadings[subset]
-    draws = np.asarray(draws, dtype=float)
-    n = draws.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, n)
-        eta = draws[start:stop] @ loadings.T
-        out[start:stop] = np.sum(_rejection_probabilities(z_half, a, eta), axis=1)
-    return out
-
-
 def standard_factor_draws(k: int, n_mc: int, seed: int) -> np.ndarray:
     """(n_mc, k) matrix of independent standard normal factor draws."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.standard_normal((n_mc, k))
-
-
-def variance_of_false_count(
-    t: float,
-    model: FactorModel,
-    draws: np.ndarray,
-    subset: np.ndarray | None = None,
-) -> float:
-    """Monte-Carlo variance of the false-count numerator over factor draws.
-
-    `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 2. Exactly
-    0 for k = 0, where the numerator does not depend on the factors.
-    """
-    if draws.shape[0] < 2:
-        raise ValueError(f"need at least 2 factor draws, got {draws.shape[0]}")
-    if model.k == 0:
-        return 0.0
-    values = numerator_over_draws(t, model, draws, subset=subset)
-    return float(np.var(values, ddof=1))

@@ -23,11 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .factors import (
-    FactorModel,
-    numerator_over_draws,
-    standard_factor_draws,
-)
+from .factors import FactorModel, numerator_over_draws
 from .gauss import norm_pdf, norm_quantile, two_sided_pvalue
 
 __all__ = [
@@ -67,8 +63,6 @@ class ControlResult:
     alpha: float
     t_star: float
     fdr_at_t: float
-    mc_draws: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -117,24 +111,22 @@ def solve_threshold(
     alpha: float,
     model: FactorModel,
     p1: int,
-    n_mc: int = 10000,
+    draws: np.ndarray,
     tol: float = 1e-4,
-    seed: int = 0,
 ) -> ControlResult:
     """Bisection for the threshold whose approximate FDR equals alpha.
 
-    One draw matrix is generated up front and reused at every trial
-    threshold, so the curve being bisected is monotone in t. Raises
-    UnreachableAlphaError (with the boundary value) when alpha lies outside
-    the curve's range on [1e-12, 0.5].
+    `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 1, used
+    at every trial threshold, so the curve being bisected is monotone in t.
+    Raises UnreachableAlphaError (with the boundary value) when alpha lies
+    outside the curve's range on [1e-12, 0.5].
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be positive, got {n_mc}")
+    if draws.shape[0] < 1:
+        raise ValueError("need at least one factor draw")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    draws = standard_factor_draws(model.k, n_mc, seed)
 
     def curve(t: float) -> float:
         return approx_fdr(t, model, p1, draws)
@@ -157,7 +149,7 @@ def solve_threshold(
             low = mid
         else:
             high = mid
-    return ControlResult(alpha=alpha, t_star=mid, fdr_at_t=fdr_mid, mc_draws=n_mc, seed=seed)
+    return ControlResult(alpha=alpha, t_star=mid, fdr_at_t=fdr_mid)
 
 
 def _step_up(pvalues: np.ndarray, alpha: float, null_count: float) -> RejectionSet:

@@ -23,7 +23,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -33,19 +33,18 @@ from scipy.stats import ks_2samp
 from . import __version__
 from .factors import (
     FactorModel,
-    FactorRealization,
     build_factor_model,
     estimate_fdp,
     fdp_limit,
+    numerator_over_draws,
     select_num_factors,
     standard_factor_draws,
-    variance_of_false_count,
 )
 from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose, tail_energy
-from .simulate import Scenario, generate_design, realized_counts, standardize
+from .simulate import Scenario, check_keys, generate_design, realized_counts, standardize
 
 __all__ = [
     "ExperimentConfig",
@@ -152,6 +151,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        required = ("scenario", "t_grid", "n_reps", "seed")
+        check_keys(data, "config", required, tuple(field.name for field in fields(cls)))
         return cls(**{**data, "scenario": Scenario.from_dict(data["scenario"])})
 
 
@@ -171,11 +172,6 @@ class ScenarioState:
     @property
     def k(self) -> int:
         return self.model.k
-
-    @property
-    def sigma_hat(self) -> CorrelationMatrix:
-        """The p x p sample correlation x'x, built on each access."""
-        return CorrelationMatrix.from_gram(self.x.T @ self.x)
 
 
 @dataclass
@@ -229,7 +225,7 @@ def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[Fa
     calibration = select_calibration_set(z, fraction)
     if model.k == 0:
         return FactorFit(w_hat=np.zeros(0), objective=0.0, iterations=0, converged=True), calibration.size
-    return lad_regress(model.loadings[calibration.indices], z[calibration.indices]), calibration.size
+    return lad_regress(model.loadings[calibration], z[calibration]), calibration.size
 
 
 def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray) -> list[dict]:
@@ -290,6 +286,21 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
         statistics = noise @ state.x
         statistics += state.mu
         yield reps, statistics
+
+
+def _numerator_variances(t: float, state: ScenarioState, draws: np.ndarray) -> dict:
+    """MC variances of the false-count numerator over all indices and over the true nulls.
+
+    Both are exactly 0.0 for k = 0, where the numerator does not depend on
+    the factors.
+    """
+
+    def variance(subset) -> float:
+        if state.k == 0:
+            return 0.0
+        return float(np.var(numerator_over_draws(t, state.model, draws, subset=subset), ddof=1))
+
+    return {"var_numerator_all": variance(None), "var_numerator_nulls": variance(state.true_nulls)}
 
 
 def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -363,8 +374,7 @@ def run_experiment(config: ExperimentConfig, chunk_size: int = 512) -> Experimen
     for t in config.t_grid:
         summary = _aggregate_per_t(records, t)
         summary["approx_fdr"] = approx_fdr(t, state.model, config.scenario.p1, draws)
-        summary["var_numerator_all"] = variance_of_false_count(t, state.model, draws)
-        summary["var_numerator_nulls"] = variance_of_false_count(t, state.model, draws, state.true_nulls)
+        summary.update(_numerator_variances(t, state, draws))
         aggregates["per_t"][_t_key(t)] = summary
     return ExperimentOutput(config=config, records=records, aggregates=aggregates)
 
@@ -407,8 +417,7 @@ def variance_study(
         "t": float(t),
         "mean_V": float(np.mean(counts)),
         "var_V_empirical": float(np.var(counts, ddof=1)),
-        "var_numerator_all": variance_of_false_count(t, state.model, draws),
-        "var_numerator_nulls": variance_of_false_count(t, state.model, draws, state.true_nulls),
+        **_numerator_variances(t, state, draws),
     }
 
 
@@ -559,12 +568,10 @@ def run_convergence(
             for t in t_grid:
                 v, _, r = realized_counts(statistics, state.true_nulls, t)
                 empirical[t][reps.start : reps.stop] = v / np.maximum(r, 1)
-        limit = {t: np.empty(n_reps) for t in t_grid}
-        for rep in range(n_reps):
-            w = substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k)
-            realization = FactorRealization.from_w(state.model, w)
-            for t in t_grid:
-                limit[t][rep] = fdp_limit(t, state.model, state.mu, state.true_nulls, realization)
+        draws = np.stack(
+            [substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k) for rep in range(n_reps)]
+        )
+        limit = {t: fdp_limit(t, state.model, state.mu, state.true_nulls, draws) for t in t_grid}
 
         for t in t_grid:
             distance = float(ks_2samp(empirical[t], limit[t]).statistic)

@@ -18,7 +18,6 @@ from .factors import FactorModel
 __all__ = [
     "RankDeficientError",
     "ZeroEigenvalueError",
-    "CalibrationSet",
     "FactorFit",
     "select_calibration_set",
     "lad_regress",
@@ -52,18 +51,6 @@ class ZeroEigenvalueError(ValueError):
 
 
 @dataclass(frozen=True)
-class CalibrationSet:
-    """Indices of the statistics with smallest |z|, ties broken by index."""
-
-    indices: np.ndarray
-    fraction: float
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass(frozen=True)
 class FactorFit:
     """Fitted factor values with the L1 objective and certificate status."""
 
@@ -73,8 +60,11 @@ class FactorFit:
     converged: bool
 
 
-def select_calibration_set(z: np.ndarray, fraction: float) -> CalibrationSet:
-    """The round(fraction * p) statistics with smallest absolute value."""
+def select_calibration_set(z: np.ndarray, fraction: float) -> np.ndarray:
+    """Sorted indices of the round(fraction * p) statistics with smallest |z|.
+
+    Ties in |z| are broken by the lower index.
+    """
     z = np.asarray(z, dtype=float)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
@@ -83,8 +73,7 @@ def select_calibration_set(z: np.ndarray, fraction: float) -> CalibrationSet:
     if m == 0:
         raise ValueError(f"calibration set is empty: fraction={fraction}, p={p}")
     order = np.argsort(np.abs(z), kind="stable")
-    indices = np.sort(order[:m])
-    return CalibrationSet(indices=indices, fraction=fraction)
+    return np.sort(order[:m])
 
 
 def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:

@@ -45,6 +45,18 @@ class ConstantColumnError(ValueError):
     """A design column has zero sample standard deviation."""
 
 
+def check_keys(data, what: str, required: tuple[str, ...], allowed: tuple[str, ...]) -> None:
+    """Raise ValueError naming a required key missing from `data` or one not allowed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{what} is missing required key {missing[0]!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; expected one of {', '.join(allowed)}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One dependence structure with its sampling parameters."""
@@ -76,7 +88,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        return cls(**{field.name: data[field.name] for field in fields(cls) if field.name in data})
+        check_keys(data, "scenario", ("kind",), tuple(field.name for field in fields(cls)))
+        return cls(**data)
 
     def with_p(self, p: int) -> "Scenario":
         return replace(self, p=p)

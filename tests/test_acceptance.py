@@ -10,7 +10,6 @@ import pytest
 
 from pfa.factors import (
     FactorModel,
-    FactorRealization,
     build_factor_model,
     fdp_limit,
 )
@@ -334,7 +333,7 @@ def test_criterion_7_exchangeable_limit_closed_form():
     for _ in range(50):
         t = float(rng.uniform(0.0005, 0.1))
         w = float(rng.standard_normal())
-        value = fdp_limit(t, model, mu, nulls, FactorRealization.from_w(model, np.array([w])))
+        (value,) = fdp_limit(t, model, mu, nulls, np.array([[w]]))
         z = norm_quantile(t / 2.0)
         numerator = (p - p1) * (
             norm_cdf(d * (z + np.sqrt(rho) * w)) + norm_cdf(d * (z - np.sqrt(rho) * w))

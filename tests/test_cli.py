@@ -7,7 +7,7 @@ from pfa.cli import main
 from pfa.harness import run_estimate
 from pfa.linalg import equal_correlation
 from pfa.simulate import Scenario
-from test_harness import first_draw, small_config
+from test_harness import first_draw, sigma_hat, small_config
 
 
 def write_matrix(path, entries):
@@ -57,7 +57,7 @@ class TestEstimateCommand:
     def test_matches_in_memory_pipeline(self, tmp_path, capsys):
         scenario = Scenario(kind="two_factor", p=50, n=60, p1=4)
         state, z = first_draw(small_config(scenario=scenario, seed=1))
-        sigma = state.sigma_hat
+        sigma = sigma_hat(state)
         sigma_path = tmp_path / "sigma.csv"
         z_path = tmp_path / "z.csv"
         write_matrix(sigma_path, sigma.entries)
@@ -249,6 +249,67 @@ class TestSimulateCommand:
         config_path.write_text("{not json")
         code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+class TestConfigKeys:
+    """A config with an unknown or missing key, or a value of the wrong type, exits 2 and names the file."""
+
+    SIMULATE = {
+        "scenario": {"kind": "two_factor", "p": 60, "n": 40, "p1": 4},
+        "t_grid": [0.02],
+        "n_reps": 5,
+        "seed": 7,
+        "n_mc": 200,
+    }
+    CONVERGENCE = {
+        "scenario": {"kind": "two_factor", "p": 40, "n": 30, "p1": 4},
+        "p_grid": [40],
+        "t_grid": [0.05],
+        "n_reps": 10,
+        "seed": 3,
+    }
+
+    def run(self, tmp_path, command, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out_dir)])
+        return code, out_dir, str(config_path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_rep": 5}, "unknown config key 'n_rep'"),
+            ({"scenario": {"p": 60, "n": 40}}, "scenario is missing required key 'kind'"),
+            ({"scenario": {"kind": "two_factor", "p": 60, "rh0": 0.2}}, "unknown scenario key 'rh0'"),
+            ({"n_reps": "5"}, "'<' not supported between instances of 'str' and 'int'"),
+        ],
+    )
+    def test_simulate(self, tmp_path, capsys, change, message):
+        code, out_dir, config_path = self.run(tmp_path, "simulate", {**self.SIMULATE, **change})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{config_path}: {message}" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "change, dropped, message",
+        [
+            ({}, "p_grid", "config is missing required key 'p_grid'"),
+            ({"epsilom": 0.01}, None, "unknown config key 'epsilom'"),
+            ({"scenario": {"kind": "two_factor", "p": 40, "p_1": 4}}, None, "unknown scenario key 'p_1'"),
+            ({"scenario": {"p": 40}}, None, "scenario is missing required key 'kind'"),
+            ({"scenario": {"kind": "two_factor", "p": "40"}}, None, "'<' not supported between instances"),
+            ({"p_grid": 40}, None, "'int' object is not iterable"),
+        ],
+    )
+    def test_convergence(self, tmp_path, capsys, change, dropped, message):
+        config = {key: value for key, value in {**self.CONVERGENCE, **change}.items() if key != dropped}
+        code, out_dir, config_path = self.run(tmp_path, "convergence", config)
+        assert code == 2
+        assert f"{config_path}: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestConvergenceCommand:

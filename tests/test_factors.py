@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from pfa.factors import (
     A_CAP,
     FactorModel,
-    FactorRealization,
     build_factor_model,
     estimate_fdp,
     fdp_limit,
-    fdp_numerator,
+    numerator_over_draws,
     select_num_factors,
     standard_factor_draws,
-    variance_of_false_count,
 )
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
+from pfa.harness import variance_study
 from pfa.linalg import equal_correlation, spectral_decompose
+from pfa.simulate import Scenario
 
 
 def exchangeable_model(p, rho):
@@ -38,6 +38,18 @@ def exchangeable_model(p, rho):
         eigenvalues=np.ones(p),
         degenerate_rows=np.zeros(0, dtype=np.intp),
     )
+
+
+def one_row(*w):
+    """One factor realization as a (1, k) draw matrix."""
+    return np.array([w], dtype=float)
+
+
+def count_at(t, model, w, subset=None):
+    """The conditional false count at the single realization w."""
+    values = numerator_over_draws(t, model, one_row(*w), subset=subset)
+    assert values.shape == (1,)
+    return float(values[0])
 
 
 def exchangeable_closed_form(p0, rho, t, w):
@@ -103,7 +115,7 @@ class TestBuildFactorModel:
         model = build_factor_model(system, 0)
         assert model.loadings.shape == (5, 0)
         np.testing.assert_array_equal(model.a, np.ones(5))
-        assert not model.has_degenerate_rows
+        assert model.degenerate_rows.size == 0
 
     def test_equicorrelation_single_factor(self):
         system = spectral_decompose(equal_correlation(2000, 0.5))
@@ -137,13 +149,12 @@ class TestBuildFactorModel:
             )
 
 
-class TestFdpNumerator:
+class TestNumeratorAtOneRealization:
     def test_no_factors_gives_subset_times_t(self):
         system = spectral_decompose(equal_correlation(100, 0.2))
         model = build_factor_model(system, 0)
-        realization = FactorRealization.from_w(model, np.zeros(0))
         subset = np.arange(90)
-        assert fdp_numerator(0.01, model, realization, subset) == pytest.approx(0.9, rel=1e-9)
+        assert count_at(0.01, model, (), subset) == pytest.approx(0.9, rel=1e-9)
 
     def test_zero_shift_unit_scale(self):
         model = exchangeable_model(50, 0.5)
@@ -155,48 +166,43 @@ class TestFdpNumerator:
             eigenvalues=np.ones(50),
             degenerate_rows=np.zeros(0, dtype=np.intp),
         )
-        realization = FactorRealization.from_w(flat, np.array([2.0]))
         subset = np.arange(20)
-        assert fdp_numerator(0.05, flat, realization, subset) == pytest.approx(1.0, rel=1e-9)
+        assert count_at(0.05, flat, (2.0,), subset) == pytest.approx(1.0, rel=1e-9)
         del model
 
     def test_matches_exchangeable_closed_form(self):
         p, rho, t, w = 100, 0.5, 0.01, 1.0
         model = exchangeable_model(p, rho)
-        realization = FactorRealization.from_w(model, np.array([w]))
-        got = fdp_numerator(t, model, realization)
+        got = count_at(t, model, (w,))
         assert got == pytest.approx(exchangeable_closed_form(p, rho, t, w), abs=1e-12)
 
     def test_strictly_increasing_in_t(self):
         model = exchangeable_model(30, 0.4)
-        realization = FactorRealization.from_w(model, np.array([0.7]))
         grid = np.linspace(0.0005, 0.2, 25)
-        values = [fdp_numerator(t, model, realization) for t in grid]
+        values = [count_at(t, model, (0.7,)) for t in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_summands_bounded(self):
         model = exchangeable_model(10, 0.9)
-        realization = FactorRealization.from_w(model, np.array([5.0]))
-        total = fdp_numerator(0.5, model, realization)
+        total = count_at(0.5, model, (5.0,))
         assert 0.0 <= total <= 2.0 * 10
 
 
 class TestFdpLimit:
     def test_all_null_is_one(self):
         model = exchangeable_model(60, 0.5)
-        realization = FactorRealization.from_w(model, np.array([0.3]))
-        value = fdp_limit(0.01, model, np.zeros(60), np.arange(60), realization)
-        assert value == pytest.approx(1.0, rel=1e-12)
+        value = fdp_limit(0.01, model, np.zeros(60), np.arange(60), one_row(0.3))
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_strong_signals_no_factors(self):
         p, p1 = 200, 20
         system = spectral_decompose(equal_correlation(p, 0.0))
         model = build_factor_model(system, 0)
-        realization = FactorRealization.from_w(model, np.zeros(0))
         mu = np.zeros(p)
         mu[:p1] = 60.0  # saturates the shifted terms at 1
         t = 0.001
-        value = fdp_limit(t, model, mu, np.arange(p1, p), realization)
+        (value,) = fdp_limit(t, model, mu, np.arange(p1, p), one_row())
         p0 = p - p1
         assert value == pytest.approx(p0 * t / (p0 * t + p1), rel=1e-9)
 
@@ -211,8 +217,7 @@ class TestFdpLimit:
         for _ in range(50):
             t = float(rng.uniform(0.0005, 0.1))
             w = float(rng.standard_normal())
-            realization = FactorRealization.from_w(model, np.array([w]))
-            got = fdp_limit(t, model, mu, nulls, realization)
+            (got,) = fdp_limit(t, model, mu, nulls, one_row(w))
             z = norm_quantile(t / 2.0)
             numerator = (p - p1) * (
                 norm_cdf(d * (z + np.sqrt(rho) * w)) + norm_cdf(d * (z - np.sqrt(rho) * w))
@@ -265,20 +270,30 @@ class TestEstimateFdp:
         assert report.est_false_count <= report.n_rejected or report.n_rejected == 0
 
 
-class TestVarianceOfFalseCount:
+class TestNumeratorVariance:
+    """Monte-Carlo variance of the false count over rows of factor draws."""
+
     def test_no_factors_exactly_zero(self):
         system = spectral_decompose(equal_correlation(50, 0.0))
         model = build_factor_model(system, 0)
-        draws = standard_factor_draws(0, 1000, 3)
-        assert variance_of_false_count(0.01, model, draws, np.arange(50)) == 0.0
+        values = numerator_over_draws(0.01, model, standard_factor_draws(0, 1000, 3), np.arange(50))
+        assert np.all(values == values[0])
+        # The harness reports exactly 0.0 for k = 0, not the rounding noise of np.var.
+        scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6, rho=0.0)
+        result = variance_study(scenario, t=0.01, n_reps=20, n_mc=100, seed=3, epsilon=0.5)
+        assert result["k"] == 0
+        assert result["var_numerator_all"] == 0.0
+        assert result["var_numerator_nulls"] == 0.0
 
     def test_deterministic_in_seed(self):
         model_system = spectral_decompose(equal_correlation(80, 0.5))
         model = build_factor_model(model_system, 3)
         subset = np.arange(70)
-        a = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 17), subset)
-        b = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 17), subset)
-        c = variance_of_false_count(0.01, model, standard_factor_draws(3, 4000, 18), subset)
+
+        def variance(seed):
+            return np.var(numerator_over_draws(0.01, model, standard_factor_draws(3, 4000, seed), subset), ddof=1)
+
+        a, b, c = variance(17), variance(17), variance(18)
         assert a == b
         assert a != c
 
@@ -293,10 +308,40 @@ class TestVarianceOfFalseCount:
         values = np.array([exchangeable_closed_form(p, rho, t, x) for x in nodes])
         mean = np.sum(weights * values)
         var = np.sum(weights * (values - mean) ** 2)
-        mc = variance_of_false_count(t, model, standard_factor_draws(1, 60000, 123))
+        mc = np.var(numerator_over_draws(t, model, standard_factor_draws(1, 60000, 123)), ddof=1)
         assert mc == pytest.approx(var, rel=0.15)
 
     def test_requires_two_draws(self):
-        model = exchangeable_model(10, 0.5)
-        with pytest.raises(ValueError):
-            variance_of_false_count(0.01, model, standard_factor_draws(1, 1, 0))
+        scenario = Scenario(kind="equal_correlation", p=50, n=20, p1=2)
+        with pytest.raises(ValueError, match="n_mc must be at least 2"):
+            variance_study(scenario, t=0.01, n_reps=10, n_mc=1, seed=0)
+
+
+class TestFdpLimitOverRows:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_rows_match_one_row_calls_bit_for_bit(self, k):
+        # Loadings are multiples of 1/8 and draws of 1/4, so every product and
+        # partial sum of eta = B W is exact: the summation order BLAS picks
+        # for one row or for many cannot change a bit. 600 rows span three
+        # internal chunks.
+        rng = np.random.default_rng(k)
+        p, p1, n = 300, 12, 600
+        loadings = rng.integers(-3, 4, size=(p, k)) / 8.0
+        model = FactorModel(
+            p=p,
+            k=k,
+            loadings=loadings,
+            a=1.0 / np.sqrt(1.0 - np.sum(loadings**2, axis=1)),
+            eigenvalues=np.ones(p),
+            degenerate_rows=np.zeros(0, dtype=np.intp),
+        )
+        draws = rng.integers(-8, 9, size=(n, k)) / 4.0
+        assert draws.shape == (n, k)
+        mu = np.zeros(p)
+        mu[:p1] = rng.uniform(0.5, 4.0, size=p1)
+        nulls = np.arange(p1, p)
+        for t in (0.001, 0.05):
+            stacked = fdp_limit(t, model, mu, nulls, draws)
+            rows = np.concatenate([fdp_limit(t, model, mu, nulls, draws[i : i + 1]) for i in range(n)])
+            assert stacked.shape == (n,)
+            np.testing.assert_array_equal(stacked, rows)

@@ -79,35 +79,42 @@ class TestApproxFdr:
 class TestSolveThreshold:
     def test_no_factor_closed_form_inversion(self):
         model = model_with_k(2000, 0.0, 0)
-        result = solve_threshold(0.15, model, 10, tol=1e-6)
+        result = solve_threshold(0.15, model, 10, standard_factor_draws(0, 10, 0), tol=1e-6)
         assert result.t_star == pytest.approx(1.5 / 1700.0, rel=1e-3)
         assert abs(result.fdr_at_t - 0.15) <= 1e-6
 
     def test_round_trip_with_factors(self):
         model = model_with_k(400, 0.5, 1)
-        result = solve_threshold(0.08, model, 10, n_mc=4000, tol=1e-5, seed=3)
-        back = approx_fdr(result.t_star, model, 10, standard_factor_draws(1, 4000, 3))
+        draws = standard_factor_draws(1, 4000, 3)
+        result = solve_threshold(0.08, model, 10, draws, tol=1e-5)
+        back = approx_fdr(result.t_star, model, 10, draws)
         assert abs(back - 0.08) <= 1e-4
 
     def test_alpha_above_curve_raises(self):
         model = model_with_k(100, 0.0, 0)
         # FDR(0.5) = 50/(50+90) < 0.9 when p1 = 90
         with pytest.raises(UnreachableAlphaError) as info:
-            solve_threshold(0.9, model, 90)
+            solve_threshold(0.9, model, 90, standard_factor_draws(0, 10, 0))
         assert info.value.side == "high"
         assert info.value.boundary_t == 0.5
 
     def test_alpha_below_curve_raises(self):
         model = model_with_k(100, 0.0, 0)
         with pytest.raises(UnreachableAlphaError) as info:
-            solve_threshold(1e-13, model, 1)
+            solve_threshold(1e-13, model, 1, standard_factor_draws(0, 10, 0))
         assert info.value.side == "low"
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_non_positive_tolerance_rejected(self, tol):
         # A tolerance no value can meet would bisect to the interval floor.
         with pytest.raises(ValueError, match="tol must be positive"):
-            solve_threshold(0.15, model_with_k(100, 0.0, 0), 10, tol=tol)
+            solve_threshold(0.15, model_with_k(100, 0.0, 0), 10, standard_factor_draws(0, 10, 0), tol=tol)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_empty_draw_matrix_rejected(self, k):
+        # With factors, an empty matrix would make every curve value NaN.
+        with pytest.raises(ValueError, match="at least one factor draw"):
+            solve_threshold(0.15, model_with_k(100, 0.5, k), 10, standard_factor_draws(k, 0, 0))
 
 
 class TestBhProcedure:

@@ -23,7 +23,7 @@ from pfa.harness import (
     write_output,
 )
 from pfa.lad import lad_regress
-from pfa.linalg import equal_correlation, spectral_decompose, tail_energy
+from pfa.linalg import CorrelationMatrix, equal_correlation, spectral_decompose, tail_energy
 from pfa.simulate import SCENARIO_KINDS, Scenario, generate_design, sample_correlation
 
 
@@ -45,6 +45,14 @@ class TestExperimentConfig:
     def test_round_trip(self):
         config = small_config()
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        data = small_config().to_dict()
+        with pytest.raises(ValueError, match="unknown config key 'n_rep'"):
+            ExperimentConfig.from_dict({**data, "n_rep": 3})
+        without_grid = {key: value for key, value in data.items() if key != "t_grid"}
+        with pytest.raises(ValueError, match="config is missing required key 't_grid'"):
+            ExperimentConfig.from_dict(without_grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,6 +78,11 @@ class TestExperimentConfig:
     def test_rejects_out_of_range_settings(self, override):
         with pytest.raises(ValueError, match=next(iter(override))):
             small_config(**override)
+
+
+def sigma_hat(state):
+    """The p x p sample correlation x'x of a scenario state."""
+    return CorrelationMatrix.from_gram(state.x.T @ state.x)
 
 
 def first_draw(config):
@@ -106,7 +119,7 @@ class TestPrepareScenario:
         config = small_config()
         unkeyed, keyed = prepare_scenario(config), prepare_scenario(config, (0,))
         assert keyed.key == (0,) and unkeyed.key == ()
-        assert not np.array_equal(keyed.sigma_hat.entries, unkeyed.sigma_hat.entries)
+        assert not np.array_equal(sigma_hat(keyed).entries, sigma_hat(unkeyed).entries)
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_low_rank_path_matches_dense_path(self, kind):
@@ -122,7 +135,7 @@ class TestPrepareScenario:
         np.testing.assert_allclose(
             state.model.loadings @ state.model.loadings.T, dense_loadings @ dense_loadings.T, rtol=0, atol=1e-10
         )
-        np.testing.assert_allclose(state.sigma_hat.entries, sigma.entries, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sigma_hat(state).entries, sigma.entries, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(state.sds, sds)
 
     def test_no_p_by_p_array_is_built(self):
@@ -153,7 +166,7 @@ class TestDrawStatistics:
         config = small_config(scenario=scenario, n_reps=20000)
         state = prepare_scenario(config)
         draws = np.concatenate([chunk for _, chunk in _draw_statistics(config, state, 4096)])
-        sigma = state.sigma_hat.entries
+        sigma = sigma_hat(state).entries
         assert np.min(sigma[~np.eye(8, dtype=bool)]) > 0.2
         assert np.max(np.abs(np.cov(draws.T) - sigma)) < 0.05
         assert np.max(np.abs(draws.mean(axis=0) - state.mu)) < 0.05
@@ -301,7 +314,7 @@ class TestRunEstimate:
     def test_reports_fit_metadata(self):
         scenario = Scenario(kind="two_factor", p=60, n=80, p1=4)
         state, z = first_draw(small_config(scenario=scenario, seed=22))
-        report = run_estimate(z, state.sigma_hat, t=0.02)
+        report = run_estimate(z, sigma_hat(state), t=0.02)
         assert report["k"] >= 1
         assert report["m"] == 45
         assert len(report["w_hat"]) == report["k"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import pfa.lad
-from pfa.factors import FactorModel, FactorRealization, build_factor_model, fdp_numerator
+from pfa.factors import FactorModel, build_factor_model, numerator_over_draws
 from pfa.gauss import two_sided_pvalue
 from pfa.harness import ExperimentConfig, _draw_statistics, prepare_scenario
 from pfa.lad import (
@@ -44,11 +44,11 @@ class TestSelectCalibrationSet:
     def test_smallest_half(self):
         z = np.array([3.0, -0.1, 0.5, -2.0])
         cal = select_calibration_set(z, 0.5)
-        np.testing.assert_array_equal(cal.indices, [1, 2])
+        np.testing.assert_array_equal(cal, [1, 2])
 
     def test_full_fraction(self):
         cal = select_calibration_set(np.arange(5.0), 1.0)
-        np.testing.assert_array_equal(cal.indices, np.arange(5))
+        np.testing.assert_array_equal(cal, np.arange(5))
 
     def test_default_fraction_size(self):
         cal = select_calibration_set(np.random.default_rng(0).standard_normal(1000), 0.75)
@@ -61,7 +61,7 @@ class TestSelectCalibrationSet:
     def test_ties_broken_by_lower_index(self):
         z = np.array([1.0, -1.0, 1.0, 0.5])
         cal = select_calibration_set(z, 0.5)
-        np.testing.assert_array_equal(cal.indices, [0, 3])
+        np.testing.assert_array_equal(cal, [0, 3])
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ def scenario_instances():
     state = prepare_scenario(config)
     _, statistics = next(_draw_statistics(config, state))
     for z in statistics:
-        rows = select_calibration_set(z, config.calibration_fraction).indices
+        rows = select_calibration_set(z, config.calibration_fraction)
         yield state.model.loadings[rows], z[rows]
 
 
@@ -373,8 +373,7 @@ def test_estimation_error_shrinks_with_more_rows():
             fit = lad_regress(loadings[:m], z[:m])
             err[rep] = np.linalg.norm(fit.w_hat - w)
             rejected = int(np.sum(two_sided_pvalue(z) <= t))
-            numerator_hat = fdp_numerator(t, model, FactorRealization.from_w(model, fit.w_hat))
-            numerator_true = fdp_numerator(t, model, FactorRealization.from_w(model, w))
+            numerator_hat, numerator_true = numerator_over_draws(t, model, np.stack([fit.w_hat, w]))
             denom = max(rejected, 1)
             gap[rep] = abs(min(numerator_hat, denom) - min(numerator_true, denom)) / denom
         gaps[m] = float(np.median(gap))

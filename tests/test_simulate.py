@@ -31,6 +31,14 @@ class TestScenario:
         scenario = Scenario(kind="two_factor", p=500, n=80, p1=25, beta=0.8, sigma=1.5)
         assert Scenario.from_dict(scenario.to_dict()) == scenario
 
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        with pytest.raises(ValueError, match="unknown scenario key 'rh0'"):
+            Scenario.from_dict({"kind": "equal_correlation", "rh0": 0.3})
+        with pytest.raises(ValueError, match="scenario is missing required key 'kind'"):
+            Scenario.from_dict({"p": 100})
+        with pytest.raises(ValueError, match="scenario must be a JSON object"):
+            Scenario.from_dict("two_factor")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(kind="unknown")
