@@ -168,6 +168,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             seed=int(data["seed"]),
             epsilon=float(data.get("epsilon", 0.01)),
         )
+        for p in settings["p_grid"]:
+            settings["scenario"].with_p(p)  # an entry below p1 fails here, naming the file
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
         raise ValueError(f"{args.config}: {exc}") from None
     summary = run_convergence(**settings, out_dir=args.out)

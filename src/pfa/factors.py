@@ -8,10 +8,10 @@ concentrates on
 
     sum_i [ Phi(a_i (z_{t/2} + eta_i)) + Phi(a_i (z_{t/2} - eta_i)) ]
 
-`numerator_over_draws` evaluates this sum for every row of a matrix of
-factor realizations; one fitted or drawn realization is a one-row matrix.
-The estimate, the limiting FDP, the approximate FDR and the Monte-Carlo
-variance of the count are all sums or ratios of it.
+`numerator_over_draws` evaluates the terms once for every row of a matrix
+of factor realizations (a fitted realization is a one-row matrix) and sums
+them over all indices and over the true nulls. The estimate, the limiting
+FDP, the approximate FDR and the count's variance are sums or ratios of these.
 """
 
 from __future__ import annotations
@@ -117,38 +117,37 @@ def numerator_over_draws(
     t: float,
     model: FactorModel,
     draws: np.ndarray,
-    subset: np.ndarray | None = None,
+    nulls: np.ndarray | None = None,
     shift: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Conditional false-discovery count at threshold t, one per row of draws.
 
-    Each row of the (n, k) matrix `draws` is a factor realization W. Its
-    value is the sum over `subset` (all indices when None) of
-    Phi(a_i (z_{t/2} + s_i)) + Phi(a_i (z_{t/2} - s_i)) with s = B W + mu,
-    where mu is `shift`, the length-p mean shifts (zero when None). With
-    subset equal to all indices this is the conservative surrogate the
-    estimator uses; with subset equal to the true nulls it is the exact
-    limiting count.
+    Each row of the (n, k) matrix `draws` is a factor realization W, and
+    index i contributes Phi(a_i (z_{t/2} + s_i)) + Phi(a_i (z_{t/2} - s_i))
+    with s = B W + mu, where mu is `shift`, the length-p mean shifts (zero
+    when None). The terms are evaluated once per block of rows and summed
+    twice: over all indices (`over_all`, the conservative surrogate the
+    estimator uses) and over the index set `nulls` (`over_nulls`, None when
+    `nulls` is None). With nulls the true nulls, where mu vanishes, the
+    second sum is the exact limiting count.
     """
     z_half = norm_quantile(0.5 * t)
-    a = model.a
-    loadings = model.loadings
-    if subset is not None:
-        subset = np.asarray(subset, dtype=np.intp)
-        a = a[subset]
-        loadings = loadings[subset]
-        if shift is not None:
-            shift = np.asarray(shift, dtype=float)[subset]
     draws = np.asarray(draws, dtype=float)
     n = draws.shape[0]
-    out = np.empty(n)
+    over_all = np.empty(n)
+    over_nulls = None if nulls is None else np.empty(n)
     for start in range(0, n, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, n)
-        eta = draws[start:stop] @ loadings.T
+        eta = draws[start:stop] @ model.loadings.T
         if shift is not None:
             eta += shift
-        out[start:stop] = np.sum(norm_cdf(a * (z_half + eta)) + norm_cdf(a * (z_half - eta)), axis=1)
-    return out
+        terms = norm_cdf(model.a * (z_half + eta))
+        terms += norm_cdf(model.a * (z_half - eta))
+        over_all[start:stop] = np.sum(terms, axis=1)
+        if nulls is not None:
+            # np.take stays C-ordered: row sums add as over a null-only model.
+            over_nulls[start:stop] = np.sum(np.take(terms, nulls, axis=1), axis=1)
+    return over_all, over_nulls
 
 
 def fdp_limit(
@@ -158,9 +157,8 @@ def fdp_limit(
     true_nulls: np.ndarray,
     draws: np.ndarray,
 ) -> np.ndarray:
-    """Limiting FDP for each row of `draws`, given the mean shifts and the null set."""
-    denominator = numerator_over_draws(t, model, draws, shift=mu)
-    numerator = numerator_over_draws(t, model, draws, subset=true_nulls)
+    """Limiting FDP for each row of `draws`, given the mean shifts mu (zero on true_nulls)."""
+    denominator, numerator = numerator_over_draws(t, model, draws, nulls=true_nulls, shift=mu)
     ratios = np.divide(
         numerator,
         denominator,
@@ -184,7 +182,7 @@ def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray)
     n_rejected = int(np.count_nonzero(pvalues <= t))
     if n_rejected == 0:
         return FdpReport(threshold=t, n_rejected=0, est_false_count=0.0, fdp=0.0)
-    numerator = float(numerator_over_draws(t, model, np.asarray(w_hat, dtype=float)[None, :])[0])
+    numerator = float(numerator_over_draws(t, model, np.asarray(w_hat, dtype=float)[None, :])[0][0])
     est_false = min(numerator, float(n_rejected))
     return FdpReport(
         threshold=t,

@@ -96,7 +96,7 @@ def approx_fdr(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> floa
     if model.k == 0:
         numerator = model.p * t
         return numerator / (numerator + p1)
-    numerators = numerator_over_draws(t, model, draws)
+    numerators, _ = numerator_over_draws(t, model, draws)
     totals = numerators + p1
     ratios = np.divide(
         numerators,

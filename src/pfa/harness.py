@@ -5,7 +5,7 @@ correlation matrix, the factor model, and the mean shifts; replications
 then draw fresh test statistics from N(mu, Sigma) and evaluate the realized
 counts and the estimators. Every random stream is a spawn of the master
 seed keyed by purpose (design, replication index, Monte-Carlo draws), so
-output is bit-identical for a given config regardless of thread count.
+output is bit-identical for a given config and seed.
 
 The p x p sample correlation Sigma = X'X / (n-1) of the standardized n x p
 design X has rank below n, and no harness path forms it: its spectrum comes
@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -294,13 +291,13 @@ def _numerator_variances(t: float, state: ScenarioState, draws: np.ndarray) -> d
     Both are exactly 0.0 for k = 0, where the numerator does not depend on
     the factors.
     """
-
-    def variance(subset) -> float:
-        if state.k == 0:
-            return 0.0
-        return float(np.var(numerator_over_draws(t, state.model, draws, subset=subset), ddof=1))
-
-    return {"var_numerator_all": variance(None), "var_numerator_nulls": variance(state.true_nulls)}
+    if state.k == 0:
+        return {"var_numerator_all": 0.0, "var_numerator_nulls": 0.0}
+    over_all, over_nulls = numerator_over_draws(t, state.model, draws, nulls=state.true_nulls)
+    return {
+        "var_numerator_all": float(np.var(over_all, ddof=1)),
+        "var_numerator_nulls": float(np.var(over_nulls, ddof=1)),
+    }
 
 
 def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -348,18 +345,13 @@ def _aggregate_per_t(records: list[dict], t: float) -> dict:
     return out
 
 
-def run_experiment(config: ExperimentConfig, chunk_size: int = 512) -> ExperimentOutput:
+def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """Run all replications and aggregate; deterministic in (config, seed)."""
     state = prepare_scenario(config)
-    n_threads = max(1, int(os.environ.get("PFA_THREADS", "1")))
-    replicate = partial(_replication_row, config, state)
-
     records: list[dict] = []
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        mapper = pool.map if n_threads > 1 else map
-        for reps, statistics in _draw_statistics(config, state, chunk_size):
-            for rows in mapper(replicate, reps, statistics):
-                records.extend(rows)
+    for reps, statistics in _draw_statistics(config, state):
+        for rep, z in zip(reps, statistics):
+            records.extend(_replication_row(config, state, rep, z))
 
     aggregates: dict = {
         "version": __version__,
@@ -386,7 +378,6 @@ def variance_study(
     n_mc: int,
     seed: int,
     epsilon: float = 0.01,
-    chunk_size: int = 256,
 ) -> dict:
     """Empirical false-count variance versus the factor-formula MC variance.
 
@@ -406,7 +397,7 @@ def variance_study(
     )
     state = prepare_scenario(config)
     counts = np.empty(n_reps)
-    for reps, statistics in _draw_statistics(config, state, chunk_size):
+    for reps, statistics in _draw_statistics(config, state, 256):
         counts[reps.start : reps.stop] = realized_counts(statistics, state.true_nulls, t)[0]
     draws = standard_factor_draws(state.k, n_mc, seed)
     return {
@@ -546,6 +537,8 @@ def run_convergence(
         epsilon=epsilon,
         with_estimators=False,
     )
+    # Every dimension is checked before any file is written.
+    configs = [replace(base, scenario=scenario.with_p(p)) for p in p_grid]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -560,8 +553,7 @@ def run_convergence(
         "epsilon": epsilon,
         "ks": {},
     }
-    for p_index, p in enumerate(p_grid):
-        config = replace(base, scenario=scenario.with_p(p))
+    for p_index, (p, config) in enumerate(zip(p_grid, configs)):
         state = prepare_scenario(config, (p_index,))
         empirical = {t: np.empty(n_reps) for t in t_grid}
         for reps, statistics in _draw_statistics(config, state):

@@ -92,7 +92,11 @@ class Scenario:
         return cls(**data)
 
     def with_p(self, p: int) -> "Scenario":
-        return replace(self, p=p)
+        """This scenario at dimension p; an invalid result's error names p."""
+        try:
+            return replace(self, p=p)
+        except ValueError as exc:
+            raise ValueError(f"at p = {p}: {exc}") from None
 
 
 def generate_design(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:

@@ -330,3 +330,23 @@ class TestConvergenceCommand:
         assert code == 0
         ks = json.loads(capsys.readouterr().out)
         assert set(ks["0.05"].keys()) == {"40", "60"}
+
+    def test_p_grid_entry_below_p1_writes_nothing(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "scenario": {"kind": "two_factor", "p": 40, "n": 30, "p1": 4},
+                    "p_grid": [40, 3],
+                    "t_grid": [0.05],
+                    "n_reps": 10,
+                    "seed": 3,
+                }
+            )
+        )
+        out_dir = tmp_path / "out"
+        code = main(["convergence", "--config", str(config_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{config_path}: at p = 3: p1 must lie in [0, p], got 4" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())

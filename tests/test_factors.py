@@ -45,9 +45,10 @@ def one_row(*w):
     return np.array([w], dtype=float)
 
 
-def count_at(t, model, w, subset=None):
-    """The conditional false count at the single realization w."""
-    values = numerator_over_draws(t, model, one_row(*w), subset=subset)
+def count_at(t, model, w, nulls=None):
+    """The conditional false count at the single realization w, over nulls when given."""
+    over_all, over_nulls = numerator_over_draws(t, model, one_row(*w), nulls=nulls)
+    values = over_all if nulls is None else over_nulls
     assert values.shape == (1,)
     return float(values[0])
 
@@ -150,11 +151,11 @@ class TestBuildFactorModel:
 
 
 class TestNumeratorAtOneRealization:
-    def test_no_factors_gives_subset_times_t(self):
+    def test_no_factors_gives_nulls_times_t(self):
         system = spectral_decompose(equal_correlation(100, 0.2))
         model = build_factor_model(system, 0)
-        subset = np.arange(90)
-        assert count_at(0.01, model, (), subset) == pytest.approx(0.9, rel=1e-9)
+        nulls = np.arange(90)
+        assert count_at(0.01, model, (), nulls) == pytest.approx(0.9, rel=1e-9)
 
     def test_zero_shift_unit_scale(self):
         model = exchangeable_model(50, 0.5)
@@ -166,8 +167,8 @@ class TestNumeratorAtOneRealization:
             eigenvalues=np.ones(50),
             degenerate_rows=np.zeros(0, dtype=np.intp),
         )
-        subset = np.arange(20)
-        assert count_at(0.05, flat, (2.0,), subset) == pytest.approx(1.0, rel=1e-9)
+        nulls = np.arange(20)
+        assert count_at(0.05, flat, (2.0,), nulls) == pytest.approx(1.0, rel=1e-9)
         del model
 
     def test_matches_exchangeable_closed_form(self):
@@ -276,7 +277,7 @@ class TestNumeratorVariance:
     def test_no_factors_exactly_zero(self):
         system = spectral_decompose(equal_correlation(50, 0.0))
         model = build_factor_model(system, 0)
-        values = numerator_over_draws(0.01, model, standard_factor_draws(0, 1000, 3), np.arange(50))
+        _, values = numerator_over_draws(0.01, model, standard_factor_draws(0, 1000, 3), nulls=np.arange(50))
         assert np.all(values == values[0])
         # The harness reports exactly 0.0 for k = 0, not the rounding noise of np.var.
         scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6, rho=0.0)
@@ -288,10 +289,11 @@ class TestNumeratorVariance:
     def test_deterministic_in_seed(self):
         model_system = spectral_decompose(equal_correlation(80, 0.5))
         model = build_factor_model(model_system, 3)
-        subset = np.arange(70)
+        nulls = np.arange(70)
 
         def variance(seed):
-            return np.var(numerator_over_draws(0.01, model, standard_factor_draws(3, 4000, seed), subset), ddof=1)
+            _, over_nulls = numerator_over_draws(0.01, model, standard_factor_draws(3, 4000, seed), nulls=nulls)
+            return np.var(over_nulls, ddof=1)
 
         a, b, c = variance(17), variance(17), variance(18)
         assert a == b
@@ -308,7 +310,8 @@ class TestNumeratorVariance:
         values = np.array([exchangeable_closed_form(p, rho, t, x) for x in nodes])
         mean = np.sum(weights * values)
         var = np.sum(weights * (values - mean) ** 2)
-        mc = np.var(numerator_over_draws(t, model, standard_factor_draws(1, 60000, 123)), ddof=1)
+        over_all, _ = numerator_over_draws(t, model, standard_factor_draws(1, 60000, 123))
+        mc = np.var(over_all, ddof=1)
         assert mc == pytest.approx(var, rel=0.15)
 
     def test_requires_two_draws(self):
@@ -345,3 +348,53 @@ class TestFdpLimitOverRows:
             rows = np.concatenate([fdp_limit(t, model, mu, nulls, draws[i : i + 1]) for i in range(n)])
             assert stacked.shape == (n,)
             np.testing.assert_array_equal(stacked, rows)
+
+
+class TestNullSum:
+    """The sum over `nulls` comes from the same terms as the all-index sum."""
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_matches_a_null_only_model_bit_for_bit(self, k):
+        # Dyadic loadings and draws make eta = B W exact, as above, so the
+        # null-only model and the gathered columns see identical terms and
+        # the comparison tests the summation alone. 600 rows span three chunks.
+        rng = np.random.default_rng(10 + k)
+        p, p1, n = 300, 12, 600
+        loadings = rng.integers(-3, 4, size=(p, k)) / 8.0
+        a = 1.0 / np.sqrt(1.0 - np.sum(loadings**2, axis=1))
+        no_rows = np.zeros(0, dtype=np.intp)
+        model = FactorModel(p=p, k=k, loadings=loadings, a=a, eigenvalues=np.ones(p), degenerate_rows=no_rows)
+        nulls = np.sort(rng.choice(p, size=p - p1, replace=False))
+        null_model = FactorModel(
+            p=nulls.size, k=k, loadings=loadings[nulls], a=a[nulls], eigenvalues=np.ones(p), degenerate_rows=no_rows
+        )
+        draws = rng.integers(-8, 9, size=(n, k)) / 4.0
+        mu = np.zeros(p)
+        mu[np.setdiff1d(np.arange(p), nulls)] = rng.uniform(0.5, 4.0, size=p1)
+        for t in (0.001, 0.05):
+            expected, none = numerator_over_draws(t, null_model, draws)
+            assert none is None
+            for shift in (None, mu):
+                over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
+                np.testing.assert_array_equal(over_nulls, expected)
+                np.testing.assert_array_equal(over_all, numerator_over_draws(t, model, draws, shift=shift)[0])
+
+
+class TestOneEvaluationPerChunk:
+    def test_fdp_limit_and_variance_study_evaluate_terms_once(self, monkeypatch):
+        calls = []
+
+        def counting_cdf(x):
+            calls.append(np.shape(x))
+            return norm_cdf(x)
+
+        monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
+        p = 50
+        fdp_limit(0.01, exchangeable_model(p, 0.5), np.zeros(p), np.arange(5, p), standard_factor_draws(1, 600, 0))
+        # 600 rows are three chunks; each evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once.
+        assert len(calls) == 2 * 3
+        calls.clear()
+        scenario = Scenario(kind="equal_correlation", p=60, n=30, p1=4)
+        result = variance_study(scenario, t=0.01, n_reps=20, n_mc=600, seed=1)
+        assert result["k"] > 0
+        assert len(calls) == 2 * 3

@@ -188,14 +188,6 @@ class TestRunExperiment:
         assert first.records == second.records
         assert first.aggregates == second.aggregates
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        config = small_config()
-        baseline = run_experiment(config)
-        monkeypatch.setenv("PFA_THREADS", "3")
-        threaded = run_experiment(config)
-        assert baseline.records == threaded.records
-        assert baseline.aggregates == threaded.aggregates
-
     def test_estimator_columns_optional(self):
         output = run_experiment(small_config(with_estimators=False, control_alpha=None))
         row = output.records[0]
@@ -332,6 +324,19 @@ class TestRunConvergence:
                 n_reps=0,
                 seed=1,
             )
+
+    def test_every_dimension_checked_before_any_file(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"at p = 3: p1 must lie in \[0, p\], got 4"):
+            run_convergence(
+                scenario=Scenario(kind="two_factor", p=40, n=30, p1=4),
+                p_grid=(40, 3),
+                t_grid=(0.05,),
+                n_reps=10,
+                seed=1,
+                out_dir=out_dir,
+            )
+        assert not out_dir.exists()
 
     def test_emits_histograms_and_ks(self, tmp_path):
         summary = run_convergence(

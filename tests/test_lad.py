@@ -373,7 +373,7 @@ def test_estimation_error_shrinks_with_more_rows():
             fit = lad_regress(loadings[:m], z[:m])
             err[rep] = np.linalg.norm(fit.w_hat - w)
             rejected = int(np.sum(two_sided_pvalue(z) <= t))
-            numerator_hat, numerator_true = numerator_over_draws(t, model, np.stack([fit.w_hat, w]))
+            (numerator_hat, numerator_true), _ = numerator_over_draws(t, model, np.stack([fit.w_hat, w]))
             denom = max(rejected, 1)
             gap[rep] = abs(min(numerator_hat, denom) - min(numerator_true, denom)) / denom
         gaps[m] = float(np.median(gap))

@@ -1,0 +1,60 @@
+"""Smoke test of the experiment scripts: each runs at a tiny size and writes its outputs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pfa.harness import load_output
+from pfa.simulate import SCENARIO_KINDS
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ["--p", "60", "--n", "40", "--p1", "4"]
+
+SCRIPTS = {
+    "run_estimator_comparison.py": ["--reps", "3", "--mc", "50", *TINY],
+    "run_fdr_comparison.py": ["--reps", "3", "--mc", "50", "--t", "0.01", "--alpha", "0.1", *TINY],
+    "run_variance_study.py": ["--reps", "20", "--mc", "20", "--t", "0.01", *TINY],
+    "run_convergence_study.py": ["--reps", "20", "--p-grid", "40,60", "--t-grid", "0.05", "--n", "30", "--p1", "4"],
+}
+
+
+def run_script(name, out_dir):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *SCRIPTS[name], "--out", str(out_dir)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert f"written to {out_dir}" in completed.stdout
+
+
+@pytest.mark.parametrize("name", ["run_estimator_comparison.py", "run_fdr_comparison.py"])
+def test_experiment_scripts_write_loadable_output(tmp_path, name):
+    run_script(name, tmp_path)
+    for kind in SCENARIO_KINDS:
+        output = load_output(tmp_path / kind)
+        assert output.config.scenario.kind == kind
+
+
+def test_variance_study_script(tmp_path):
+    run_script("run_variance_study.py", tmp_path)
+    for kind in SCENARIO_KINDS:
+        result = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert result["config"]["scenario"]["kind"] == kind
+        assert result["var_numerator_all"] >= 0.0
+
+
+def test_convergence_study_script(tmp_path):
+    run_script("run_convergence_study.py", tmp_path)
+    summary = json.loads((tmp_path / "convergence_summary.json").read_text())
+    assert set(summary["ks"]["0.05"]) == {"40", "60"}
+    for p in (40, 60):
+        assert (tmp_path / f"convergence_p{p}_t0.05.csv").exists()
