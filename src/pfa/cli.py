@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .factors import build_factor_model, select_num_factors, standard_factor_draws
-from .fdr import UnreachableAlphaError, approx_fdr, solve_threshold
+from .fdr import UnreachableAlphaError, solve_threshold
 from .harness import (
     ExperimentConfig,
     read_matrix_csv,
@@ -114,8 +114,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
     _require(args.mc >= 1, f"mc must be positive, got {args.mc}")
     _require(args.tol > 0.0, f"tol must be positive, got {args.tol}")
     sigma = read_matrix_csv(args.sigma)
-    system = spectral_decompose(sigma)
-    k = select_num_factors(system.values, args.epsilon)
+    system = spectral_decompose(sigma, args.epsilon)
+    k = select_num_factors(system, args.epsilon)
     model = build_factor_model(system, k)
     draws = standard_factor_draws(k, args.mc, args.seed)
     try:
@@ -133,11 +133,6 @@ def _cmd_control(args: argparse.Namespace) -> int:
             args.out,
         )
         return EXIT_UNREACHABLE
-    grid = np.logspace(-10, np.log10(0.5), 40)
-    curve = [
-        {"t": float(t), "fdr": approx_fdr(float(t), model, args.p1, draws)}
-        for t in grid
-    ]
     _emit(
         {
             "version": __version__,
@@ -147,8 +142,10 @@ def _cmd_control(args: argparse.Namespace) -> int:
             "mc_draws": args.mc,
             "seed": args.seed,
             "k": k,
+            "tail_energy_at_k": system.tail_energy(k),
             "p1": args.p1,
-            "curve": curve,
+            "curve": [{"t": t, "fdr": fdr} for t, fdr in result.curve],
+            "solver": {"evaluations": result.evaluations, "converged": result.converged},
         },
         args.out,
     )

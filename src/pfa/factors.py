@@ -55,7 +55,7 @@ class FactorModel:
     k: int
     loadings: np.ndarray        # (p, k); column h is sqrt(lambda_h) * gamma_h
     a: np.ndarray               # (p,); (1 - sum_h b_ih^2)^(-1/2), capped
-    eigenvalues: np.ndarray     # full spectrum, for diagnostics
+    eigenvalues: np.ndarray     # the leading eigenvalues the decomposition held, at least k
     degenerate_rows: np.ndarray  # indices where the cap fired
 
 
@@ -69,23 +69,21 @@ class FdpReport:
     fdp: float
 
 
-def select_num_factors(values: np.ndarray, epsilon: float) -> int:
-    """Smallest k with tail_energy(values, k) strictly below epsilon * sum(values).
+def select_num_factors(system: EigenSystem, epsilon: float) -> int:
+    """Smallest k with tail energy strictly below epsilon * trace.
 
     Exact boundary ties (e.g. exchangeable spectra with decimal epsilon) are
     kept on the strict side: binary rounding of epsilon must not admit a k
-    whose tail energy equals the threshold in exact arithmetic.
+    whose tail energy equals the threshold in exact arithmetic. A partial
+    system must hold that k, as `spectral_decompose(sigma, epsilon)` does.
     """
-    values = np.asarray(values, dtype=float)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    total = float(np.sum(values))
-    if total <= 0.0:
+    if system.trace <= 0.0:
         return 0
-    squares = np.square(values)
-    tail_sq = np.concatenate([np.cumsum(squares[::-1])[::-1], [0.0]])
-    threshold = epsilon * total * (1.0 - 1e-9)
-    satisfied = np.sqrt(tail_sq) < threshold
+    satisfied = system.within(epsilon)
+    if not satisfied[-1]:
+        raise ValueError(f"the {system.values.size} eigenvalues held do not reach epsilon={epsilon}")
     return int(np.argmax(satisfied))
 
 
@@ -136,13 +134,21 @@ def numerator_over_draws(
     n = draws.shape[0]
     over_all = np.empty(n)
     over_nulls = None if nulls is None else np.empty(n)
+    # Two blocks reused by every chunk; each step writes into one of them.
+    terms_block = np.empty((min(_DRAW_CHUNK, n), model.p))
+    eta_block = np.empty_like(terms_block)
     for start in range(0, n, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, n)
-        eta = draws[start:stop] @ model.loadings.T
+        terms, eta = terms_block[: stop - start], eta_block[: stop - start]
+        np.matmul(draws[start:stop], model.loadings.T, out=eta)
         if shift is not None:
             eta += shift
-        terms = norm_cdf(model.a * (z_half + eta))
-        terms += norm_cdf(model.a * (z_half - eta))
+        np.add(eta, z_half, out=terms)
+        np.multiply(terms, model.a, out=terms)
+        norm_cdf(terms, out=terms)
+        np.subtract(z_half, eta, out=eta)
+        np.multiply(eta, model.a, out=eta)
+        terms += norm_cdf(eta, out=eta)
         over_all[start:stop] = np.sum(terms, axis=1)
         if nulls is not None:
             # np.take stays C-ordered: row sums add as over a null-only model.

@@ -4,8 +4,8 @@ The factor-adjusted FDR at a fixed threshold is a Monte-Carlo expectation
 over factor draws of N(t) / (N(t) + p1), where N(t) is the all-index
 false-count numerator and p1 (the number of false nulls) is assumed known.
 A single draw matrix is shared across threshold values (common random
-numbers), which makes the estimated curve monotone in t and bisection for
-a target rate well posed.
+numbers), which makes the estimated curve monotone in t and a root search
+for a target rate well posed.
 
 Baselines: Benjamini-Hochberg step-up, Storey's fixed-threshold estimate
 and his adaptive step-up, and a dispersion-variate estimate in the style of
@@ -40,7 +40,10 @@ __all__ = [
 
 _T_LOW = 1e-12
 _T_HIGH = 0.5
-_MIN_INTERVAL = 1e-14
+# The reported FDR curve; its last point is _T_HIGH.
+_CURVE_GRID = (*(float(t) for t in np.logspace(-10, np.log10(_T_HIGH), 40)[:-1]), _T_HIGH)
+# Illinois steps inside one bracket of the curve before giving up.
+_MAX_SOLVE_STEPS = 60
 
 
 class UnreachableAlphaError(RuntimeError):
@@ -58,11 +61,20 @@ class UnreachableAlphaError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlResult:
-    """Solved threshold for a target approximate FDR."""
+    """Solved threshold for a target approximate FDR.
+
+    `curve` holds (t, FDR(t)) on 40 log-spaced points from 1e-10 to 0.5
+    (the last is the solve's upper end), `evaluations`
+    counts the approx_fdr calls the solve made in all, and `converged` is
+    whether |fdr_at_t - alpha| <= tol.
+    """
 
     alpha: float
     t_star: float
     fdr_at_t: float
+    curve: tuple[tuple[float, float], ...]
+    evaluations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -114,12 +126,17 @@ def solve_threshold(
     draws: np.ndarray,
     tol: float = 1e-4,
 ) -> ControlResult:
-    """Bisection for the threshold whose approximate FDR equals alpha.
+    """The threshold whose approximate FDR lies within tol of alpha.
 
     `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 1, used
-    at every trial threshold, so the curve being bisected is monotone in t.
-    Raises UnreachableAlphaError (with the boundary value) when alpha lies
-    outside the curve's range on [1e-12, 0.5].
+    at every trial threshold, so the curve is monotone in t. The ends of
+    [1e-12, 0.5] are evaluated first: when alpha lies outside the curve's
+    range there, UnreachableAlphaError (with the boundary value) is raised
+    after these two calls. Then the curve is evaluated on its 40-point grid,
+    and Illinois steps (regula falsi on the logit of the FDR against log t)
+    run only inside the bracket of known points that holds alpha, starting
+    from their values, until |FDR - alpha| <= tol. The point closest to
+    alpha is returned.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -128,28 +145,69 @@ def solve_threshold(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    evaluations = 0
+
     def curve(t: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
         return approx_fdr(t, model, p1, draws)
 
-    low, high = _T_LOW, _T_HIGH
-    fdr_high = curve(high)
+    fdr_high, fdr_low = curve(_T_HIGH), curve(_T_LOW)
     if fdr_high < alpha:
-        raise UnreachableAlphaError(alpha, high, fdr_high, side="high")
-    fdr_low = curve(low)
+        raise UnreachableAlphaError(alpha, _T_HIGH, fdr_high, side="high")
     if fdr_low > alpha:
-        raise UnreachableAlphaError(alpha, low, fdr_low, side="low")
+        raise UnreachableAlphaError(alpha, _T_LOW, fdr_low, side="low")
 
-    mid, fdr_mid = high, fdr_high
-    while high - low > _MIN_INTERVAL:
-        mid = 0.5 * (low + high)
-        fdr_mid = curve(mid)
-        if abs(fdr_mid - alpha) <= tol:
+    values = [curve(t) for t in _CURVE_GRID[:-1]] + [fdr_high]
+    points = [(_T_LOW, fdr_low), *zip(_CURVE_GRID, values)]
+    # The first point at or above alpha and the one before it bracket alpha.
+    upper = next(i for i, (_, fdr) in enumerate(points) if fdr >= alpha)
+    (t_low, fdr_low), (t_high, fdr_high) = points[max(upper - 1, 0)], points[upper]
+    best = min((t_low, fdr_low), (t_high, fdr_high), key=lambda point: abs(point[1] - alpha))
+    # Far into the tail the FDR is about p t / (p t + p1), so its logit is
+    # nearly linear in log t: interpolating there takes few steps.
+    x_low, g_low = np.log(t_low), _logit(fdr_low) - _logit(alpha)
+    x_high, g_high = np.log(t_high), _logit(fdr_high) - _logit(alpha)
+    side = 0
+    for _ in range(_MAX_SOLVE_STEPS):
+        if abs(best[1] - alpha) <= tol:
             break
-        if fdr_mid < alpha:
-            low = mid
+        with np.errstate(invalid="ignore"):  # an infinite logit at an end
+            x = x_high - g_high * (x_high - x_low) / (g_high - g_low)
+        if not x_low < x < x_high:
+            x = 0.5 * (x_low + x_high)
+            if not x_low < x < x_high:
+                break  # the bracket is down to adjacent floats
+        t = float(np.exp(x))
+        fdr = curve(t)
+        if abs(fdr - alpha) < abs(best[1] - alpha):
+            best = (t, fdr)
+        # Illinois: halve the value kept at the end that stays a second time.
+        g = _logit(fdr) - _logit(alpha)
+        if g < 0.0:
+            x_low, g_low = x, g
+            if side == -1:
+                g_high /= 2.0
+            side = -1
         else:
-            high = mid
-    return ControlResult(alpha=alpha, t_star=mid, fdr_at_t=fdr_mid)
+            x_high, g_high = x, g
+            if side == 1:
+                g_low /= 2.0
+            side = 1
+    t_star, fdr_at_t = best
+    return ControlResult(
+        alpha=alpha,
+        t_star=t_star,
+        fdr_at_t=fdr_at_t,
+        curve=tuple(zip(_CURVE_GRID, values)),
+        evaluations=evaluations,
+        converged=abs(fdr_at_t - alpha) <= tol,
+    )
+
+
+def _logit(fdr: float) -> float:
+    with np.errstate(divide="ignore"):  # an FDR of 0 or 1 has an infinite logit
+        return float(np.log(fdr) - np.log1p(-fdr))
 
 
 def _step_up(pvalues: np.ndarray, alpha: float, null_count: float) -> RejectionSet:

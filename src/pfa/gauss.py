@@ -14,9 +14,12 @@ __all__ = ["norm_cdf", "norm_pdf", "norm_quantile", "two_sided_pvalue"]
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def norm_cdf(x):
-    """Standard normal CDF; accepts scalars or arrays, saturates at 0/1."""
-    return ndtr(x)
+def norm_cdf(x, out=None):
+    """Standard normal CDF; accepts scalars or arrays, saturates at 0/1.
+
+    With `out`, an array of x's shape, the values are written there.
+    """
+    return ndtr(x, out=out)
 
 
 def norm_pdf(x):

@@ -40,7 +40,7 @@ from .factors import (
 from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
-from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose, tail_energy
+from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
 from .simulate import Scenario, check_keys, generate_design, realized_counts, standardize
 
 __all__ = [
@@ -162,6 +162,7 @@ class ScenarioState:
     x: np.ndarray  # standardized n x p design over sqrt(n-1): x'x is sigma_hat
     sds: np.ndarray
     model: FactorModel
+    tail_energy: float  # Frobenius norm of sigma_hat's spectrum beyond the first k
     mu: np.ndarray
     true_nulls: np.ndarray
     false_nulls: np.ndarray
@@ -191,7 +192,7 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     standardized, sds = standardize(generate_design(config.scenario, rng))
     x = standardized / np.sqrt(config.scenario.n - 1)
     system = gram_spectrum(x)
-    k = select_num_factors(system.values, config.epsilon)
+    k = select_num_factors(system, config.epsilon)
     model = build_factor_model(system, k)
     p, p1 = config.scenario.p, config.scenario.p1
     if config.placement == "random":
@@ -208,6 +209,7 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
         x=x,
         sds=sds,
         model=model,
+        tail_energy=system.tail_energy(k),
         mu=mu,
         true_nulls=np.flatnonzero(mask),
         false_nulls=false_nulls,
@@ -232,7 +234,6 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
 
-    # A step-up procedure rejects exactly the p-values at or below its threshold.
     procedures = {"fdp_bh_proc": None, "fdp_storey_proc": None}
     if config.control_alpha is not None:
         alpha = config.control_alpha
@@ -240,8 +241,8 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
             ("fdp_bh_proc", bh_procedure(pvalues, alpha)),
             ("fdp_storey_proc", storey_procedure(pvalues, alpha, config.storey_lambda)),
         ):
-            v, _, r = map(int, realized_counts(z, state.true_nulls, rejections.threshold))
-            procedures[name] = v / max(r, 1)
+            v = int(np.count_nonzero(np.isin(rejections.indices, state.true_nulls)))
+            procedures[name] = v / max(rejections.size, 1)
 
     rows = []
     p0 = state.scenario.p - state.scenario.p1
@@ -357,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "version": __version__,
         "config": config.to_dict(),
         "k": state.k,
-        "tail_energy_at_k": tail_energy(state.model.eigenvalues, state.k),
+        "tail_energy_at_k": state.tail_energy,
         "n_degenerate_rows": int(state.model.degenerate_rows.size),
         "false_nulls": state.false_nulls.tolist(),
         "per_t": {},
@@ -404,7 +405,7 @@ def variance_study(
         "version": __version__,
         "config": config.to_dict(),
         "k": state.k,
-        "tail_energy_at_k": tail_energy(state.model.eigenvalues, state.k),
+        "tail_energy_at_k": state.tail_energy,
         "t": float(t),
         "mean_V": float(np.mean(counts)),
         "var_V_empirical": float(np.var(counts, ddof=1)),
@@ -492,8 +493,8 @@ def run_estimate(
     z = np.asarray(z, dtype=float)
     if z.shape[0] != sigma.dim:
         raise ValueError(f"z has length {z.shape[0]} but the matrix has dimension {sigma.dim}")
-    system = spectral_decompose(sigma)
-    k = select_num_factors(system.values, epsilon)
+    system = spectral_decompose(sigma, epsilon)
+    k = select_num_factors(system, epsilon)
     model = build_factor_model(system, k)
     fit, m = _fit_factors(model, z, fraction)
     report = estimate_fdp(t, z, model, fit.w_hat)
@@ -503,6 +504,7 @@ def run_estimate(
         "epsilon": epsilon,
         "fraction": fraction,
         "k": k,
+        "tail_energy_at_k": system.tail_energy(k),
         "m": m,
         "w_hat": fit.w_hat.tolist(),
         "R": report.n_rejected,

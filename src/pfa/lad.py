@@ -35,7 +35,7 @@ _ZERO_BAND = 1e-12
 # Slack on the dual certificate |u_j| <= 1, and the pivot cap per factor.
 _DUAL_TOL = 1e-9
 _PIVOTS_PER_FACTOR = 20
-# A starting basis worse conditioned than this is replaced.
+# A starting basis whose 1-norm condition number exceeds this is replaced.
 _MAX_CONDITION = 1e12
 # A Gram matrix whose smallest eigenvalue exceeds this share of its largest
 # has full rank beyond rounding doubt; any other design gets the SVD test.
@@ -115,13 +115,18 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
         beta = np.linalg.solve(design.T @ weighted, weighted.T @ z)
     residual = z - design @ beta
     basis = np.argsort(np.abs(residual), kind="stable")[:k]
-    if np.linalg.cond(design[basis]) > _MAX_CONDITION:
+    try:
+        inverse = np.linalg.inv(design[basis])
+        condition = np.linalg.norm(design[basis], 1) * np.linalg.norm(inverse, 1)
+    except np.linalg.LinAlgError:  # exactly singular
+        condition = np.inf
+    if not condition <= _MAX_CONDITION:
         basis = scipy.linalg.qr(design.T, pivoting=True)[2][:k]
+        inverse = np.linalg.inv(design[basis])
     # Residual signs of the non-basic rows, 0 on the basis. A row whose
     # residual is within the zero band keeps the sign it was last given.
     signs = np.where(residual < 0.0, -1.0, 1.0)
     signs[basis] = 0.0
-    inverse = np.linalg.inv(design[basis])
     fresh, converged, pivots = True, False, 0
     while True:
         beta = inverse @ z[basis]

@@ -4,6 +4,11 @@ Correlation matrices here are exactly symmetric with an exactly unit
 diagonal; eigenvalues that come out slightly negative (sample matrices
 with n < p are singular) are clamped to zero within a dimension-scaled
 tolerance.
+
+A decomposition may hold only the leading eigenpairs. What the factor-count
+rule needs from the rest of the spectrum, its sum and its sum of squares,
+comes from the trace and from the Frobenius norm of the entries:
+tail^2(k) = ||Sigma||_F^2 - sum_{i<=k} lambda_i^2.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "NotSymmetricError",
@@ -20,11 +26,20 @@ __all__ = [
     "equal_correlation",
     "spectral_decompose",
     "gram_spectrum",
-    "tail_energy",
 ]
 
 # Eigenvalues below -EIG_CLAMP_TOL * p are treated as genuinely negative.
 EIG_CLAMP_TOL = 1e-8
+
+# Leading eigenpairs computed first when only the factor-count rule's share
+# of the spectrum is needed. When the rule is not met inside them, or they
+# would pass half the dimension, the full decomposition runs instead.
+_WINDOW = 128
+
+# Boundary ties of the factor-count rule are kept on the strict side: binary
+# rounding of a decimal epsilon must not admit a k whose tail energy equals
+# the threshold in exact arithmetic.
+_TIE_SHRINK = 1.0 - 1e-9
 
 
 class NotSymmetricError(ValueError):
@@ -71,14 +86,45 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full spectrum, descending, with orthonormal eigenvector columns for its leading values."""
+    """Leading eigenpairs of a p x p symmetric PSD matrix, eigenvalues descending.
+
+    `values` may hold fewer than p eigenvalues, and `vectors` (p rows) has
+    orthonormal eigenvector columns for the leading ones. `trace` is the sum
+    of all p eigenvalues and `tail_sq[k]`, for k = 0..len(values), the sum
+    of the squares of all but the first k. Left out, both are computed from
+    `values` taken as the whole spectrum.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    trace: float | None = None
+    tail_sq: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.trace is None:
+            object.__setattr__(self, "trace", float(np.sum(self.values)))
+        if self.tail_sq is None:
+            squares = np.square(self.values)
+            object.__setattr__(self, "tail_sq", np.concatenate([np.cumsum(squares[::-1])[::-1], [0.0]]))
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.vectors.shape[0]
+
+    def tail_energy(self, k: int) -> float:
+        """Frobenius norm of the spectrum beyond the first k eigenvalues.
+
+        A whole spectrum sums its own tail; a partial one reads `tail_sq`.
+        """
+        if k < 0 or k >= self.tail_sq.shape[0]:
+            raise IndexError(f"k={k} outside [0, {self.tail_sq.shape[0] - 1}]")
+        if self.values.shape[0] == self.dim:
+            return float(np.sqrt(np.sum(np.square(self.values[k:]))))
+        return float(np.sqrt(self.tail_sq[k]))
+
+    def within(self, epsilon: float) -> np.ndarray:
+        """For k = 0..len(values): whether the tail energy at k is strictly below epsilon * trace."""
+        return np.sqrt(self.tail_sq) < epsilon * self.trace * _TIE_SHRINK
 
 
 def equal_correlation(p: int, rho: float) -> CorrelationMatrix:
@@ -88,23 +134,58 @@ def equal_correlation(p: int, rho: float) -> CorrelationMatrix:
     return CorrelationMatrix(dim=p, entries=entries)
 
 
-def spectral_decompose(sigma: CorrelationMatrix) -> EigenSystem:
-    """Full eigendecomposition with descending eigenvalues.
+def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -> EigenSystem:
+    """Eigendecomposition with descending eigenvalues.
+
+    Without epsilon, the full spectrum. With it, the leading 128 eigenpairs
+    when the factor-count rule at epsilon is met within them, with `tail_sq`
+    from the Frobenius-norm identity and `trace` from the diagonal; otherwise,
+    or when 128 would pass p/2, the full spectrum.
 
     Eigenvalues in (-EIG_CLAMP_TOL*p, 0) are clamped to 0; anything more
-    negative raises NotPSDError.
+    negative raises NotPSDError. A partial window does not see the smallest
+    eigenvalue, so then a Cholesky factorization of
+    sigma + EIG_CLAMP_TOL*p*I makes the same test.
     """
     p = sigma.dim
-    values, vectors = np.linalg.eigh(sigma.entries)
+    entries = sigma.entries
+    floor = -EIG_CLAMP_TOL * p
+    if epsilon is not None and 2 * _WINDOW <= p:
+        frobenius_sq = float(np.vdot(entries, entries))
+        trace = float(np.trace(entries))
+        # Both LAPACK calls below overwrite one scratch copy. Its transpose is
+        # the same symmetric matrix in the Fortran order LAPACK works in, so
+        # neither call makes a copy of its own.
+        scratch = entries.copy()
+        values, vectors = scipy.linalg.eigh(
+            scratch.T, subset_by_index=[p - _WINDOW, p - 1], overwrite_a=True, check_finite=False
+        )
+        values = np.maximum(values[::-1], 0.0)
+        tail_sq = np.maximum(frobenius_sq - np.concatenate([[0.0], np.cumsum(np.square(values))]), 0.0)
+        system = EigenSystem(values, np.ascontiguousarray(vectors[:, ::-1]), trace, tail_sq)
+        if system.within(epsilon)[-1]:
+            scratch[...] = entries
+            _check_psd(scratch, floor)
+            return system
+        del scratch  # the full decomposition makes its own copy
+    values, vectors = np.linalg.eigh(entries)
     values = np.ascontiguousarray(values[::-1])
     vectors = np.ascontiguousarray(vectors[:, ::-1])
-    floor = -EIG_CLAMP_TOL * p
     if values[-1] < floor:
         raise NotPSDError(
             f"smallest eigenvalue {values[-1]:.3e} is below the tolerance {floor:.3e}"
         )
     np.maximum(values, 0.0, out=values)
     return EigenSystem(values=values, vectors=vectors)
+
+
+def _check_psd(scratch: np.ndarray, floor: float) -> None:
+    """Raise NotPSDError unless the symmetric scratch - floor * I has a Cholesky factor; overwrites scratch."""
+    scratch.flat[:: scratch.shape[0] + 1] -= floor
+    try:
+        scipy.linalg.cholesky(scratch.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NotPSDError(f"an eigenvalue is below the tolerance {floor:.3e}") from None
 
 
 def gram_spectrum(x: np.ndarray) -> EigenSystem:
@@ -118,11 +199,3 @@ def gram_spectrum(x: np.ndarray) -> EigenSystem:
     values = np.zeros(x.shape[1])
     values[: singular.size] = np.square(singular)
     return EigenSystem(values=values, vectors=vectors)
-
-
-def tail_energy(values: np.ndarray, k: int) -> float:
-    """Frobenius norm of the spectrum beyond the first k eigenvalues."""
-    values = np.asarray(values, dtype=float)
-    if k < 0 or k > values.shape[0]:
-        raise IndexError(f"k={k} outside [0, {values.shape[0]}]")
-    return float(np.sqrt(np.sum(np.square(values[k:]))))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .gauss import two_sided_pvalue
+from .gauss import norm_quantile, two_sided_pvalue
 from .linalg import CorrelationMatrix
 
 __all__ = [
@@ -39,6 +39,11 @@ SCENARIO_KINDS = (
 # Share of trailing columns tied to the leading block in the fan_song design.
 _FAN_SONG_DEPENDENT_SHARE = 0.05
 _FAN_SONG_SOURCE_COLUMNS = 10
+
+# Half-width, relative to max(1, c), of the band around the critical value c
+# in which discoveries are decided by the exact p-value. Outside it the
+# rounding of c and of 2*Phi(-|z|) cannot reverse the comparison.
+_COUNT_GUARD = 1e-8
 
 
 class ConstantColumnError(ValueError):
@@ -175,9 +180,21 @@ def realized_counts(z: np.ndarray, true_nulls: np.ndarray, t: float) -> tuple:
     """(V, S, R): false, true, and total discoveries at threshold t.
 
     Counts along the last axis of z, so one statistic vector gives three
-    integers and a (reps, p) batch gives three length-reps arrays.
+    integers and a (reps, p) batch gives three length-reps arrays. A
+    discovery is two_sided_pvalue(z) <= t. For t in (0, 1) that test runs
+    only inside a narrow band around c = -Phi^-1(t/2); elsewhere |z| >= c
+    decides, with the same outcome.
     """
-    rejected = two_sided_pvalue(np.asarray(z, dtype=float)) <= t
+    z = np.asarray(z, dtype=float)
+    if 0.0 < t < 1.0:
+        critical = -norm_quantile(0.5 * t)
+        size = np.abs(z)
+        rejected = size >= critical
+        gap = np.abs(np.subtract(size, critical, out=size), out=size)
+        band = gap <= _COUNT_GUARD * max(critical, 1.0)
+        rejected[band] = two_sided_pvalue(z[band]) <= t
+    else:  # no finite critical value: the exact test decides every entry
+        rejected = two_sided_pvalue(z) <= t
     total = np.count_nonzero(rejected, axis=-1)
     false_discoveries = np.count_nonzero(rejected[..., np.asarray(true_nulls, dtype=np.intp)], axis=-1)
     return false_discoveries, total - false_discoveries, total

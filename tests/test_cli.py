@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pfa.cli import main
+from pfa.factors import build_factor_model, select_num_factors, standard_factor_draws
+from pfa.fdr import approx_fdr
 from pfa.harness import run_estimate
-from pfa.linalg import equal_correlation
-from pfa.simulate import Scenario
+from pfa.linalg import equal_correlation, spectral_decompose
+from pfa.simulate import Scenario, generate_design, sample_correlation
 from test_harness import first_draw, sigma_hat, small_config
 
 
@@ -53,6 +55,8 @@ class TestEstimateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == 0
         assert report["fdp"] == pytest.approx(min(400 * 0.05, report["R"]) / report["R"])
+        # tail^2(0) = ||I||_F^2 = 400
+        assert report["tail_energy_at_k"] == 20.0
 
     def test_matches_in_memory_pipeline(self, tmp_path, capsys):
         scenario = Scenario(kind="two_factor", p=50, n=60, p1=4)
@@ -131,10 +135,37 @@ class TestControlCommand:
         assert code == 0
         result = json.loads(capsys.readouterr().out)
         assert result["k"] == 0
+        assert result["tail_energy_at_k"] == pytest.approx(np.sqrt(2000.0), rel=1e-15)
         assert result["t_star"] == pytest.approx(1.5 / 1700.0, rel=1e-3)
+        assert abs(result["fdr_at_t"] - 0.15) <= 1e-6
+        assert result["solver"]["converged"] is True
+        assert result["solver"]["evaluations"] <= 44
         assert len(result["curve"]) == 40
         fdrs = [point["fdr"] for point in result["curve"]]
         assert fdrs == sorted(fdrs)
+
+    def test_reports_the_factor_model_and_the_solver(self, tmp_path, capsys):
+        sigma, _ = sample_correlation(
+            generate_design(Scenario(kind="two_factor", p=300, n=60), np.random.default_rng(4))
+        )
+        sigma_path = tmp_path / "sigma.csv"
+        write_matrix(sigma_path, sigma.entries)
+        args = ["--sigma", str(sigma_path), "--p1", "5", "--alpha", "0.1", "--mc", "300", "--seed", "2"]
+        assert main(["control", *args]) == 0
+        result = json.loads(capsys.readouterr().out)
+        system = spectral_decompose(sigma)
+        k = select_num_factors(system, 0.01)
+        assert result["k"] == k
+        assert result["tail_energy_at_k"] == pytest.approx(system.tail_energy(k), rel=1e-9)
+        assert result["solver"]["converged"] is True
+        assert 41 <= result["solver"]["evaluations"] <= 44
+        assert abs(result["fdr_at_t"] - 0.1) <= 1e-4
+        model = build_factor_model(spectral_decompose(sigma, 0.01), k)
+        draws = standard_factor_draws(k, 300, 2)
+        assert result["fdr_at_t"] == approx_fdr(result["t_star"], model, 5, draws)
+        assert [point["fdr"] for point in result["curve"]] == [
+            approx_fdr(point["t"], model, 5, draws) for point in result["curve"]
+        ]
 
     def test_unreachable_alpha_exit_code(self, tmp_path, capsys):
         sigma_path = tmp_path / "sigma.csv"

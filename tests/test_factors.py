@@ -17,7 +17,7 @@ from pfa.factors import (
 )
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
-from pfa.linalg import equal_correlation, spectral_decompose
+from pfa.linalg import EigenSystem, equal_correlation, spectral_decompose
 from pfa.simulate import Scenario
 
 
@@ -59,6 +59,12 @@ def exchangeable_closed_form(p0, rho, t, w):
     return p0 * (norm_cdf(d * (z + np.sqrt(rho) * w)) + norm_cdf(d * (z - np.sqrt(rho) * w)))
 
 
+def spectrum(values):
+    """An EigenSystem holding the whole spectrum `values` and no vectors."""
+    values = np.asarray(values, dtype=float)
+    return EigenSystem(values=values, vectors=np.zeros((values.size, 0)))
+
+
 def exact_minimal_k(values, epsilon: Fraction) -> int:
     """Exhaustive scan of the selection rule in exact rational arithmetic."""
     vals = [Fraction(float(v)) for v in values]
@@ -76,22 +82,22 @@ class TestSelectNumFactors:
     def test_rank_one(self):
         values = np.zeros(50)
         values[0] = 50.0
-        assert select_num_factors(values, 0.01) == 1
+        assert select_num_factors(spectrum(values), 0.01) == 1
 
     def test_equicorrelation_p2000(self):
         values = np.full(2000, 0.5)
         values[0] = 1000.5
-        assert select_num_factors(values, 0.01) == 401
+        assert select_num_factors(spectrum(values), 0.01) == 401
         assert exact_minimal_k(values, Fraction(1, 100)) == 401
 
     def test_identity_p100(self):
-        assert select_num_factors(np.ones(100), 0.01) == 100
+        assert select_num_factors(spectrum(np.ones(100)), 0.01) == 100
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
-            select_num_factors(np.ones(3), 0.0)
+            select_num_factors(spectrum(np.ones(3)), 0.0)
         with pytest.raises(ValueError):
-            select_num_factors(np.ones(3), 1.0)
+            select_num_factors(spectrum(np.ones(3)), 1.0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -105,7 +111,7 @@ class TestSelectNumFactors:
     def test_matches_exact_scan(self, raw, eps_hundredths):
         values = np.sort(np.asarray(raw))[::-1]
         epsilon = eps_hundredths / 100.0
-        got = select_num_factors(values, epsilon)
+        got = select_num_factors(spectrum(values), epsilon)
         want = exact_minimal_k(values, Fraction(eps_hundredths, 100))
         assert got == want
 
@@ -129,8 +135,6 @@ class TestBuildFactorModel:
     def test_rank_one_matrix_caps_every_row(self):
         ones = np.ones((4, 4))
         values, vectors = np.linalg.eigh(ones)
-        from pfa.linalg import EigenSystem
-
         system = EigenSystem(
             values=np.maximum(values[::-1], 0.0), vectors=np.ascontiguousarray(vectors[:, ::-1])
         )
@@ -384,9 +388,9 @@ class TestOneEvaluationPerChunk:
     def test_fdp_limit_and_variance_study_evaluate_terms_once(self, monkeypatch):
         calls = []
 
-        def counting_cdf(x):
+        def counting_cdf(x, out=None):
             calls.append(np.shape(x))
-            return norm_cdf(x)
+            return norm_cdf(x, out=out)
 
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         p = 50
@@ -398,3 +402,46 @@ class TestOneEvaluationPerChunk:
         result = variance_study(scenario, t=0.01, n_reps=20, n_mc=600, seed=1)
         assert result["k"] > 0
         assert len(calls) == 2 * 3
+
+
+class TestBufferedNumerator:
+    """The chunked, buffer-reusing evaluation against the formula over all rows at once."""
+
+    @staticmethod
+    def plain_numerator(t, model, draws, nulls, shift):
+        z_half = norm_quantile(0.5 * t)
+        eta = draws @ model.loadings.T
+        if shift is not None:
+            eta = eta + shift
+        terms = norm_cdf(model.a * (z_half + eta)) + norm_cdf(model.a * (z_half - eta))
+        # terms[:, nulls] comes out column-major, which would sum in another order.
+        return np.sum(terms, axis=1), None if nulls is None else np.sum(np.ascontiguousarray(terms[:, nulls]), axis=1)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    @pytest.mark.parametrize("with_shift", [False, True])
+    def test_bit_identical_to_the_plain_formula(self, n, with_nulls, with_shift):
+        # Dyadic loadings and draws make eta exact in any BLAS blocking, so
+        # the comparison sees only the buffered elementwise steps and the sums.
+        rng = np.random.default_rng(n)
+        p, k = 150, 3
+        loadings = rng.integers(-3, 4, size=(p, k)) / 8.0
+        model = FactorModel(
+            p=p,
+            k=k,
+            loadings=loadings,
+            a=1.0 / np.sqrt(1.0 - np.sum(loadings**2, axis=1)),
+            eigenvalues=np.ones(p),
+            degenerate_rows=np.zeros(0, dtype=np.intp),
+        )
+        draws = rng.integers(-8, 9, size=(n, k)) / 4.0
+        nulls = np.sort(rng.choice(p, size=p - 9, replace=False)) if with_nulls else None
+        shift = rng.uniform(0.0, 3.0, size=p) if with_shift else None
+        for t in (1e-6, 0.01, 0.3):
+            over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
+            want_all, want_nulls = self.plain_numerator(t, model, draws, nulls, shift)
+            np.testing.assert_array_equal(over_all, want_all)
+            if with_nulls:
+                np.testing.assert_array_equal(over_nulls, want_nulls)
+            else:
+                assert over_nulls is None

@@ -76,6 +76,21 @@ class TestApproxFdr:
             approx_fdr(0.1, model, 11, draws)
 
 
+_SOLVER_MODEL = model_with_k(200, 0.4, 1)
+
+
+def record_approx_fdr_calls(monkeypatch) -> list:
+    """The thresholds of every approx_fdr call that solve_threshold makes from now on."""
+    calls = []
+
+    def counting_approx_fdr(t, *args):
+        calls.append(t)
+        return approx_fdr(t, *args)
+
+    monkeypatch.setattr("pfa.fdr.approx_fdr", counting_approx_fdr)
+    return calls
+
+
 class TestSolveThreshold:
     def test_no_factor_closed_form_inversion(self):
         model = model_with_k(2000, 0.0, 0)
@@ -103,6 +118,45 @@ class TestSolveThreshold:
         with pytest.raises(UnreachableAlphaError) as info:
             solve_threshold(1e-13, model, 1, standard_factor_draws(0, 10, 0))
         assert info.value.side == "low"
+
+    @pytest.mark.parametrize("model_args, p1", [((2000, 0.0, 0), 10), ((400, 0.5, 1), 10), ((300, 0.3, 1), 40)])
+    @pytest.mark.parametrize("alpha", [0.02, 0.08, 0.15, 0.3, 0.6])
+    def test_curve_first_then_few_solver_calls(self, monkeypatch, model_args, p1, alpha):
+        model = model_with_k(*model_args)
+        draws = standard_factor_draws(model.k, 500, 3)
+        calls = record_approx_fdr_calls(monkeypatch)
+        result = solve_threshold(alpha, model, p1, draws)
+        # Both ends, the 39 grid points below 0.5, then at most three steps.
+        assert calls[:2] == [0.5, 1e-12]
+        assert calls[2:41] == [t for t, _ in result.curve[:-1]]
+        assert len(calls) == result.evaluations <= 44
+        assert result.converged and abs(result.fdr_at_t - alpha) <= 1e-4
+        assert result.fdr_at_t == approx_fdr(result.t_star, model, p1, draws)
+        assert [fdr for _, fdr in result.curve] == [approx_fdr(t, model, p1, draws) for t, _ in result.curve]
+
+    @pytest.mark.parametrize("alpha, p1", [(0.9, 90), (1e-13, 1)])
+    def test_unreachable_alpha_costs_two_calls(self, monkeypatch, alpha, p1):
+        calls = record_approx_fdr_calls(monkeypatch)
+        with pytest.raises(UnreachableAlphaError):
+            solve_threshold(alpha, model_with_k(100, 0.0, 0), p1, standard_factor_draws(0, 10, 0))
+        assert len(calls) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(min_value=0.005, max_value=0.95),
+        tol=st.sampled_from([1e-3, 1e-4, 1e-6]),
+    )
+    def test_solution_lies_within_tol_of_alpha(self, alpha, tol):
+        model = _SOLVER_MODEL
+        draws = standard_factor_draws(1, 300, 8)
+        try:
+            result = solve_threshold(alpha, model, 10, draws, tol=tol)
+        except UnreachableAlphaError:
+            assert not approx_fdr(1e-12, model, 10, draws) <= alpha <= approx_fdr(0.5, model, 10, draws)
+            return
+        assert result.converged
+        assert abs(result.fdr_at_t - alpha) <= tol
+        assert 1e-12 <= result.t_star <= 0.5
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_non_positive_tolerance_rejected(self, tol):

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "09b0009c73a4f2e41cdb0bf7d15b827dc9490ccb0bfceaee35f2e6b0bb990679",
-        "estimate.json": "8c00f185cded0bc9d8bc76353e071bcd2ec44956d1f0bf27579b7194581f8cad",
+        "control.json": "27aabf4c361f14cf260aeb53033a9e8f6855863897d84bb02cbf67cf14b4968c",
+        "estimate.json": "16f1487b6902551a0c83fad07bcef7b4b15d4696e92e3567908acb0be050cd04",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "1380205094139d6566a87835c1f7d7db523ee92e3c27f667e7a50d9ebc9ffe92",
         "convergence_p40_t0.1.csv": "dde561b813a9da53421314793304eacb6023dedcc8c13064a8cd4ab51de44dc2",
         "convergence_p60_t0.05.csv": "36bc7ab486d050dae8adc8034891053caa1cef910776d63d78b625889c343dc1",
         "convergence_p60_t0.1.csv": "4be2653aedb93af059dd648df86092c9c52efae1e3c3df8e04fe3b8dd9371baa",
-        "convergence_summary.json": "5a03fc8fe7e6d512bcb344fb60f5f4ca502faf62891667119a201b189d22e547",
+        "convergence_summary.json": "40627907ded0582fbc0f00ec5ff8437b978180cc08862bf42fec4e6bc86d837d",
     },
     "experiment": {
-        "aggregates.json": "909bab3dffd7501ca748b7912ec3619f1b93c5e1eac2eaa5729a3a0a68966c35",
+        "aggregates.json": "86efd03988428eb9df34a42d1733f3f675141b5ebacedd3acb2f86f358712b60",
         "records.csv": "a1ffe1c1827e557155b2f931cfdcb95e3158ecf8a59299ee4d7615d48db0afd7",
     },
     "experiment_random_no_estimators": {
-        "aggregates.json": "b1f2226c6e4e53e994753bf186d737ff6be44c393f413ba016e82f267b9d865c",
+        "aggregates.json": "ff9f50bf8d640b0b12e45cd046b27ef7b54462a48e400fcd4f132bca1af15591",
         "records.csv": "95a0f7dcda4295d5575866c55e70658d6e9d11c2a0195d94b88a8524a5983eac",
     },
     "variance_study": {
-        "variance.json": "8bfaf91f18219b5eb83addf8408ca79daf3b03a7a4be5190d0f571c2bab43328",
+        "variance.json": "b1a9c0e096089ae789e9cd634547fd74e61212027349658b04ba6e9af8390a84",
     },
 }
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pfa.factors import build_factor_model, select_num_factors
 from pfa.linalg import (
     CorrelationMatrix,
+    EigenSystem,
     NotPSDError,
     NotSymmetricError,
     equal_correlation,
     gram_spectrum,
     spectral_decompose,
-    tail_energy,
 )
 
 
@@ -70,6 +72,84 @@ def test_gram_spectrum_matches_dense_decomposition(n, p):
     np.testing.assert_allclose(rebuilt, x.T @ x, atol=1e-10 * dense[0])
 
 
+def two_factor_correlation(rng, p, n):
+    """Sample correlation of a two-factor design: rank n - 1, a few large eigenvalues."""
+    design = rng.standard_normal((n, 2)) @ rng.uniform(-1.0, 1.0, (2, p)) + rng.standard_normal((n, p))
+    centered = design - design.mean(axis=0)
+    standardized = centered / centered.std(axis=0, ddof=1)
+    entries = standardized.T @ standardized / (n - 1)
+    entries = (entries + entries.T) / 2.0
+    np.fill_diagonal(entries, 1.0)
+    return CorrelationMatrix.from_entries(entries)
+
+
+# name: (matrix, epsilon, the eigh windows tried, whether the full spectrum follows)
+PARTIAL_CASES = {
+    # k = 1 inside the window (the other eigenvalues are all equal).
+    "equal_correlation": (lambda: equal_correlation(400, 0.5), 0.05, [128], False),
+    # k of about 90 of rank 99, inside the window.
+    "two_factor": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, [128], False),
+    # rank 199: k of about 180 lies beyond the window, so the full spectrum follows.
+    "two_factor_wide": (lambda: two_factor_correlation(np.random.default_rng(2), 600, 200), 0.01, [128], True),
+    # Full rank: k near p, so the full spectrum follows.
+    "full_rank": (lambda: random_correlation(np.random.default_rng(3), 300, 600), 0.01, [128], True),
+    # p < 256: the window would pass p/2, so only the full spectrum is computed.
+    "small": (lambda: two_factor_correlation(np.random.default_rng(4), 200, 100), 0.01, [], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_CASES))
+def test_partial_spectrum_matches_full_decomposition(case, monkeypatch):
+    make, epsilon, expected_windows, falls_back = PARTIAL_CASES[case]
+    sigma = make()
+    windows = []
+    eigh = scipy.linalg.eigh
+
+    def recording_eigh(a, **kwargs):
+        windows.append(kwargs["subset_by_index"][1] - kwargs["subset_by_index"][0] + 1)
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    partial = spectral_decompose(sigma, epsilon)
+    monkeypatch.undo()
+    full = spectral_decompose(sigma)
+
+    assert windows == expected_windows
+    held = partial.values.size
+    assert held == (sigma.dim if falls_back else windows[0])
+    assert partial.vectors.shape == (sigma.dim, held) and partial.dim == sigma.dim
+    k = select_num_factors(partial, epsilon)
+    assert k == select_num_factors(full, epsilon)
+    np.testing.assert_allclose(partial.values, full.values[:held], rtol=0, atol=1e-12 * full.values[0])
+    assert partial.tail_energy(k) == pytest.approx(full.tail_energy(k), rel=1e-9)
+    leading, reference = build_factor_model(partial, k).loadings, build_factor_model(full, k).loadings
+    np.testing.assert_allclose(leading @ leading.T, reference @ reference.T, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("smallest", [0.05, -0.05])
+def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
+    # The smallest eigenvalue lies outside the leading window the rule needs.
+    rng = np.random.default_rng(5)
+    p = 300
+    basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    values = np.full(p, 1.0)
+    values[:5] = [150.0, 60.0, 40.0, 25.0, 12.0]
+    values[-1] = smallest
+    entries = (basis * values) @ basis.T
+    scale = 1.0 / np.sqrt(np.diagonal(entries))
+    entries = entries * scale[:, None] * scale[None, :]
+    entries = (entries + entries.T) / 2.0
+    np.fill_diagonal(entries, 1.0)
+    sigma = CorrelationMatrix.from_entries(entries)
+    if smallest > 0.0:
+        assert spectral_decompose(sigma, 0.5).values.size == 128
+    else:
+        with pytest.raises(NotPSDError):
+            spectral_decompose(sigma)
+        with pytest.raises(NotPSDError):
+            spectral_decompose(sigma, 0.5)
+
+
 def test_not_symmetric_rejected():
     entries = np.eye(3)
     entries[0, 1] = 0.2
@@ -97,15 +177,21 @@ def test_small_negative_eigenvalues_clamped():
     assert np.all(system.values >= 0.0)
 
 
+def whole_spectrum(values):
+    values = np.asarray(values, dtype=float)
+    return EigenSystem(values=values, vectors=np.eye(values.size))
+
+
 def test_tail_energy_examples():
-    assert tail_energy(np.array([1.0, 1.0, 1.0]), 3) == 0.0
-    assert tail_energy(np.array([2.5, 0.5, 0.5, 0.5]), 1) == pytest.approx(np.sqrt(0.75))
-    assert tail_energy(np.array([1.0, 1.0, 1.0]), 0) == pytest.approx(np.sqrt(3.0))
+    assert whole_spectrum([1.0, 1.0, 1.0]).tail_energy(3) == 0.0
+    assert whole_spectrum([2.5, 0.5, 0.5, 0.5]).tail_energy(1) == pytest.approx(np.sqrt(0.75))
+    assert whole_spectrum([1.0, 1.0, 1.0]).tail_energy(0) == pytest.approx(np.sqrt(3.0))
 
 
 def test_tail_energy_monotone_and_total():
     values = np.sort(np.random.default_rng(0).uniform(0, 3, size=17))[::-1]
-    energies = [tail_energy(values, k) for k in range(18)]
+    system = whole_spectrum(values)
+    energies = [system.tail_energy(k) for k in range(18)]
     assert all(energies[i] >= energies[i + 1] for i in range(17))
     assert energies[0] == pytest.approx(np.sqrt(np.sum(values**2)))
     assert energies[-1] == 0.0
@@ -114,4 +200,4 @@ def test_tail_energy_monotone_and_total():
 @pytest.mark.parametrize("k", [-1, 4])
 def test_tail_energy_bounds(k):
     with pytest.raises(IndexError):
-        tail_energy(np.array([1.0, 1.0, 1.0]), k)
+        whole_spectrum([1.0, 1.0, 1.0]).tail_energy(k)

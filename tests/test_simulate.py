@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfa.gauss import two_sided_pvalue
+from pfa.gauss import norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
 from pfa.linalg import spectral_decompose
 from pfa.simulate import (
@@ -192,6 +192,30 @@ class TestRealizedCounts:
             pvals = two_sided_pvalue(z)
             assert r == int(np.sum(pvals <= t))
             assert v == int(np.sum(pvals[:200] <= t))
+
+    @pytest.mark.parametrize("t", [1e-10, 1e-4, 0.005, 0.05, 0.5, 0.999])
+    def test_matches_the_exact_p_value_test_at_the_critical_value(self, t):
+        critical = -norm_quantile(0.5 * t)
+        edges = []
+        for value in (critical, -critical):
+            below, above = value, value
+            for _ in range(4):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                edges += [below, above]
+            edges.append(value)
+        # +-c and the four floats either side of each.
+        rng = np.random.default_rng(int(-np.log10(t) * 10))
+        z = np.concatenate([edges, rng.standard_normal(500) * 3.0, critical * (1.0 + rng.uniform(-1e-7, 1e-7, 50))])
+        exact = two_sided_pvalue(z) <= t
+        nulls = np.flatnonzero(rng.uniform(size=z.size) < 0.7)
+        v, s, r = realized_counts(z, nulls, t)
+        assert r == np.count_nonzero(exact)
+        assert v == np.count_nonzero(exact[nulls])
+        assert s == r - v
+        batch = np.stack([z, -z, z[::-1]])
+        v, s, r = realized_counts(batch, nulls, t)
+        np.testing.assert_array_equal(r, np.count_nonzero(two_sided_pvalue(batch) <= t, axis=1))
+        np.testing.assert_array_equal(v, np.count_nonzero((two_sided_pvalue(batch) <= t)[:, nulls], axis=1))
 
     def test_batch_counts_match_per_row_counts(self):
         rng = np.random.default_rng(17)
