@@ -24,6 +24,7 @@ from .factors import build_factor_model, select_num_factors, standard_factor_dra
 from .fdr import UnreachableAlphaError, solve_threshold
 from .harness import (
     ExperimentConfig,
+    convergence_configs,
     read_matrix_csv,
     read_vector_csv,
     run_convergence,
@@ -113,6 +114,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     _require(args.p1 >= 0, f"p1 must not be negative, got {args.p1}")
     _require(args.mc >= 1, f"mc must be positive, got {args.mc}")
     _require(args.tol > 0.0, f"tol must be positive, got {args.tol}")
+    _require(args.seed >= 0, f"seed must not be negative, got {args.seed}")
     sigma = read_matrix_csv(args.sigma)
     system = spectral_decompose(sigma, args.epsilon)
     k = select_num_factors(system, args.epsilon)
@@ -159,14 +161,13 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         check_keys(data, "config", required, required + ("scenario", "epsilon"))
         settings = dict(
             scenario=Scenario.from_dict(data.get("scenario", {"kind": "two_factor"})),
-            p_grid=tuple(int(p) for p in data["p_grid"]),
+            p_grid=tuple(data["p_grid"]),
             t_grid=tuple(float(t) for t in data["t_grid"]),
-            n_reps=int(data["n_reps"]),
-            seed=int(data["seed"]),
+            n_reps=data["n_reps"],
+            seed=data["seed"],
             epsilon=float(data.get("epsilon", 0.01)),
         )
-        for p in settings["p_grid"]:
-            settings["scenario"].with_p(p)  # an entry below p1 fails here, naming the file
+        convergence_configs(**settings)  # a bad setting fails here, naming the file, before any output
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
         raise ValueError(f"{args.config}: {exc}") from None
     summary = run_convergence(**settings, out_dir=args.out)

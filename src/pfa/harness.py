@@ -41,7 +41,7 @@ from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, stor
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
-from .simulate import Scenario, check_keys, generate_design, realized_counts, standardize
+from .simulate import Scenario, check_ints, check_keys, generate_design, realized_counts, standardize
 
 __all__ = [
     "ExperimentConfig",
@@ -53,6 +53,7 @@ __all__ = [
     "write_output",
     "load_output",
     "run_estimate",
+    "convergence_configs",
     "run_convergence",
     "read_matrix_csv",
     "read_vector_csv",
@@ -80,26 +81,14 @@ RECORD_COLUMNS = (
     "lad_converged",
 )
 
-# Aggregate keys the loader recomputes from the records.
-_RECHECKED_KEYS = (
-    "mean_V",
-    "var_V",
-    "mean_R",
-    "mean_fdp_true",
-    "sd_fdp_true",
-    "mean_fdp_pfa",
-    "sd_fdp_pfa",
-    "mean_fdp_efron",
-    "sd_fdp_efron",
-    "mean_fdp_storey",
-    "mean_re_pfa",
-    "sd_re_pfa",
-    "mean_re_efron",
-    "sd_re_efron",
-    "mean_fdp_bh_proc",
-    "mean_fdp_storey_proc",
-    "n_lad_uncertified",
-)
+# Per-threshold aggregates of the Monte-Carlo draws; the loader recomputes all others from the records.
+_MC_KEYS = ("approx_fdr", "var_numerator_all", "var_numerator_nulls")
+
+
+def _check_distinct(what: str, values: tuple | list) -> None:
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        raise ValueError(f"{what} repeats {repeated[0]!r}")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -130,8 +119,12 @@ class ExperimentConfig:
             raise ValueError("t_grid must not be empty")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
             raise ValueError(f"every threshold must lie in (0, 1), got {self.t_grid}")
+        _check_distinct("t_grid", self.t_grid)
+        check_ints(self, "n_reps", "seed", "n_mc")
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.placement not in ("first", "random"):
             raise ValueError(f"placement must be 'first' or 'random', got {self.placement!r}")
         if self.n_mc < 2:
@@ -463,12 +456,11 @@ def load_output(out_dir: str | Path) -> ExperimentOutput:
     for t in config.t_grid:
         stored = aggregates["per_t"][_t_key(t)]
         recomputed = _aggregate_per_t(records, t)
-        for key in _RECHECKED_KEYS:
-            if key not in stored and key not in recomputed:
-                continue
-            if (key in stored) != (key in recomputed):
-                raise ValueError(f"aggregate key {key!r} present on only one side at t={t}")
-            expected, actual = stored[key], recomputed[key]
+        one_sided = sorted(set(stored).difference(_MC_KEYS) ^ set(recomputed))
+        if one_sided:
+            raise ValueError(f"aggregate key {one_sided[0]!r} present on only one side at t={t}")
+        for key, actual in recomputed.items():
+            expected = stored[key]
             tolerance = 1e-9 * max(1.0, abs(expected))
             if abs(expected - actual) > tolerance:
                 raise ValueError(
@@ -515,6 +507,14 @@ def run_estimate(
     }
 
 
+def convergence_configs(scenario: Scenario, p_grid, t_grid, n_reps, seed, epsilon=0.01) -> list[ExperimentConfig]:
+    """One experiment config per dimension of a convergence study; a bad setting fails here, before any work."""
+    base = ExperimentConfig(scenario, tuple(t_grid), n_reps, seed, epsilon=epsilon, with_estimators=False)
+    configs = [replace(base, scenario=scenario.with_p(p)) for p in p_grid]
+    _check_distinct("p_grid", [config.scenario.p for config in configs])
+    return configs
+
+
 def run_convergence(
     scenario: Scenario,
     p_grid: tuple[int, ...],
@@ -531,16 +531,7 @@ def run_convergence(
     limit value. Emits one histogram CSV per (p, t) (50 bins on [0, 1]) plus
     a summary with two-sample Kolmogorov-Smirnov distances.
     """
-    base = ExperimentConfig(
-        scenario=scenario,
-        t_grid=tuple(t_grid),
-        n_reps=n_reps,
-        seed=seed,
-        epsilon=epsilon,
-        with_estimators=False,
-    )
-    # Every dimension is checked before any file is written.
-    configs = [replace(base, scenario=scenario.with_p(p)) for p in p_grid]
+    configs = convergence_configs(scenario, p_grid, t_grid, n_reps, seed, epsilon)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -592,28 +583,25 @@ def _read_csv(path: Path, width: int | None) -> np.ndarray:
     Blank lines are skipped. Every row must have `width` cells (the first
     row's count when None) and every cell must be a finite real.
     """
-    rows: list[list[float]] = []
-    linenos: list[int] = []
+    rows: list[np.ndarray] = []
     with path.open() as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                row = np.array(line.split(","), dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: could not parse: {exc}") from None
-            width = width or len(rows[0])
-            if len(rows[-1]) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} columns, found {len(rows[-1])}")
-            linenos.append(lineno)
+            width = width or row.size
+            if row.size != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, found {row.size}")
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty file")
-    values = np.asarray(rows)
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
-    return values
+    return np.stack(rows)
 
 
 def read_matrix_csv(path: str | Path) -> CorrelationMatrix:

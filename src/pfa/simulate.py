@@ -62,6 +62,15 @@ def check_keys(data, what: str, required: tuple[str, ...], allowed: tuple[str, .
         raise ValueError(f"unknown {what} key {unknown[0]!r}; expected one of {', '.join(allowed)}")
 
 
+def check_ints(obj, *names: str) -> None:
+    """Store each named field of `obj` as a Python int; raise TypeError naming a bool or non-integer one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One dependence structure with its sampling parameters."""
@@ -77,6 +86,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}")
+        check_ints(self, "p", "n", "p1")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
         if self.n < 2:

@@ -204,6 +204,7 @@ class TestArgumentsCheckedBeforeFiles:
             ("control", ["--p1", "5", "--alpha", "0.1", "--mc", "0"], "mc must be positive"),
             ("control", ["--p1", "5", "--alpha", "0.1", "--tol", "0"], "tol must be positive"),
             ("control", ["--p1", "5", "--alpha", "0.1", "--tol", "-1"], "tol must be positive"),
+            ("control", ["--p1", "5", "--alpha", "0.1", "--seed", "-1"], "seed must not be negative"),
         ],
     )
     def test_argument_error_precedes_missing_file(self, tmp_path, capsys, command, flags, message):
@@ -313,7 +314,14 @@ class TestConfigKeys:
             ({"n_rep": 5}, "unknown config key 'n_rep'"),
             ({"scenario": {"p": 60, "n": 40}}, "scenario is missing required key 'kind'"),
             ({"scenario": {"kind": "two_factor", "p": 60, "rh0": 0.2}}, "unknown scenario key 'rh0'"),
-            ({"n_reps": "5"}, "'<' not supported between instances of 'str' and 'int'"),
+            ({"n_reps": "5"}, "n_reps must be an integer, got '5'"),
+            ({"n_reps": 4.5}, "n_reps must be an integer, got 4.5"),
+            ({"n_mc": 20.5}, "n_mc must be an integer, got 20.5"),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": -1}, "seed must not be negative, got -1"),
+            ({"scenario": {"kind": "two_factor", "p": 60.5, "n": 40, "p1": 4}}, "p must be an integer, got 60.5"),
+            ({"t_grid": [0.02, 0.01, 0.02]}, "t_grid repeats 0.02"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, change, message):
@@ -331,8 +339,14 @@ class TestConfigKeys:
             ({"epsilom": 0.01}, None, "unknown config key 'epsilom'"),
             ({"scenario": {"kind": "two_factor", "p": 40, "p_1": 4}}, None, "unknown scenario key 'p_1'"),
             ({"scenario": {"p": 40}}, None, "scenario is missing required key 'kind'"),
-            ({"scenario": {"kind": "two_factor", "p": "40"}}, None, "'<' not supported between instances"),
+            ({"scenario": {"kind": "two_factor", "p": "40"}}, None, "p must be an integer, got '40'"),
             ({"p_grid": 40}, None, "'int' object is not iterable"),
+            ({"p_grid": [40, 60.0]}, None, "p must be an integer, got 60.0"),
+            ({"p_grid": [40, 60, 40]}, None, "p_grid repeats 40"),
+            ({"t_grid": [0.05, 0.05]}, None, "t_grid repeats 0.05"),
+            ({"n_reps": 10.5}, None, "n_reps must be an integer, got 10.5"),
+            ({"seed": 1.5}, None, "seed must be an integer, got 1.5"),
+            ({"seed": -3}, None, "seed must not be negative, got -3"),
         ],
     )
     def test_convergence(self, tmp_path, capsys, change, dropped, message):

@@ -79,6 +79,37 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=next(iter(override))):
             small_config(**override)
 
+    def test_integer_fields_take_any_integer_type(self):
+        config = small_config(
+            scenario=Scenario(kind="two_factor", p=np.int64(80), n=np.int32(40), p1=np.uint8(5)),
+            n_reps=np.int64(8),
+            seed=np.int16(99),
+            n_mc=np.int64(400),
+        )
+        assert config == small_config()
+        for value in (config.n_reps, config.seed, config.n_mc, config.scenario.p, config.scenario.n):
+            assert type(value) is int
+        assert json.loads(json.dumps(config.to_dict())) == small_config().to_dict()
+
+    @pytest.mark.parametrize("name", ["n_reps", "seed", "n_mc"])
+    @pytest.mark.parametrize("value", [8.0, "8", True, np.bool_(True), None])
+    def test_integer_fields_reject_other_types(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["p", "n", "p1"])
+    def test_scenario_integer_fields_reject_floats(self, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got 40.5"):
+            Scenario(kind="two_factor", **{"p": 80, "n": 40, "p1": 5, name: 40.5})
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            small_config(seed=-1)
+
+    def test_rejects_a_repeated_threshold(self):
+        with pytest.raises(ValueError, match="t_grid repeats 0.01"):
+            small_config(t_grid=(0.01, 0.05, 0.01))
+
 
 def sigma_hat(state):
     """The p x p sample correlation x'x of a scenario state."""
@@ -291,6 +322,34 @@ class TestOutputFiles:
             with pytest.raises(ValueError, match=name):
                 load_output(tmp_path)
 
+    @pytest.mark.parametrize("missing", ["mean_V", "sd_re_efron", "mean_fdp_storey_proc", "n_lad_uncertified"])
+    def test_loader_rejects_a_deleted_record_derived_key(self, tmp_path, missing):
+        write_output(run_experiment(small_config()), tmp_path)
+        path = tmp_path / "aggregates.json"
+        data = json.loads(path.read_text())
+        del data["per_t"][repr(0.05)][missing]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=rf"aggregate key '{missing}' present on only one side at t=0.05"):
+            load_output(tmp_path)
+
+    def test_loader_rejects_an_unknown_per_threshold_key(self, tmp_path):
+        write_output(run_experiment(small_config()), tmp_path)
+        path = tmp_path / "aggregates.json"
+        data = json.loads(path.read_text())
+        data["per_t"][repr(0.01)]["mean_S"] = 1.0
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"aggregate key 'mean_S' present on only one side at t=0.01"):
+            load_output(tmp_path)
+
+    def test_loader_skips_the_monte_carlo_keys(self, tmp_path):
+        write_output(run_experiment(small_config()), tmp_path)
+        path = tmp_path / "aggregates.json"
+        data = json.loads(path.read_text())
+        for name in ("approx_fdr", "var_numerator_all", "var_numerator_nulls"):
+            data["per_t"][repr(0.01)][name] += 0.5
+        path.write_text(json.dumps(data))
+        assert load_output(tmp_path).aggregates == data
+
 
 class TestRunEstimate:
     def test_identity_reduces_to_count_ratio(self):
@@ -336,6 +395,19 @@ class TestRunConvergence:
             run_convergence(
                 scenario=Scenario(kind="two_factor", p=40, n=30, p1=4),
                 p_grid=(40, 3),
+                t_grid=(0.05,),
+                n_reps=10,
+                seed=1,
+                out_dir=out_dir,
+            )
+        assert not out_dir.exists()
+
+    def test_rejects_a_repeated_dimension(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="p_grid repeats 40"):
+            run_convergence(
+                scenario=Scenario(kind="two_factor", p=40, n=30, p1=4),
+                p_grid=(40, 60, 40),
                 t_grid=(0.05,),
                 n_reps=10,
                 seed=1,
@@ -404,6 +476,35 @@ class TestFileReaders:
         sigma_path.write_text(f"1.0,0.5\n0.5,{cell}\n")
         with pytest.raises(ValueError, match=r"sigma\.csv:2: non-finite"):
             read_matrix_csv(sigma_path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "sigma.csv"
+        path.write_text("1.0,0.5\n0.5,nan\n0.5,1.0\n0.5,oops\n")
+        with pytest.raises(ValueError, match=r"sigma\.csv:2: non-finite"):
+            read_matrix_csv(path)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        cells = ["1_0", "-2.5e-3", "+.5", "7.", "1e-320", "-0"]
+        z_path = tmp_path / "z.csv"
+        z_path.write_text("\n".join(cells) + "\n")
+        np.testing.assert_array_equal(read_vector_csv(z_path), [float(cell) for cell in cells])
+        sigma_path = tmp_path / "sigma.csv"
+        sigma_path.write_text(" 1 , 5e-1\n+.5,1_0e-1\n")
+        np.testing.assert_array_equal(read_matrix_csv(sigma_path).entries, [[1.0, 0.5], [0.5, 1.0]])
+
+    def test_matrix_read_holds_about_two_copies(self, tmp_path):
+        p = 300
+        entries = equal_correlation(p, 0.3).entries
+        path = tmp_path / "sigma.csv"
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in entries) + "\n")
+        tracemalloc.start()
+        try:
+            loaded = read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.entries, entries)
+        assert peak < 3 * entries.nbytes
 
     def test_non_square_matrix_names_the_file(self, tmp_path):
         path = tmp_path / "wide.csv"
