@@ -162,10 +162,10 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         settings = dict(
             scenario=Scenario.from_dict(data.get("scenario", {"kind": "two_factor"})),
             p_grid=tuple(data["p_grid"]),
-            t_grid=tuple(float(t) for t in data["t_grid"]),
+            t_grid=tuple(data["t_grid"]),
             n_reps=data["n_reps"],
             seed=data["seed"],
-            epsilon=float(data.get("epsilon", 0.01)),
+            epsilon=data.get("epsilon", 0.01),
         )
         convergence_configs(**settings)  # a bad setting fails here, naming the file, before any output
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type

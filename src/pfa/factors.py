@@ -128,12 +128,20 @@ def numerator_over_draws(
     estimator uses) and over the index set `nulls` (`over_nulls`, None when
     `nulls` is None). With nulls the true nulls, where mu vanishes, the
     second sum is the exact limiting count.
+
+    Each sum is at least Phi(a_low z_{t/2}), a_low the smallest a_i over `nulls` (over all indices
+    without them), so terms with arguments at or below c = Phi^-1(2^-54 Phi(a_low z_{t/2}) / (2p))
+    count as 0 (`_cdf_above`): the at most 2p of them change a sum by less than 2^-54 of it. c
+    rises more slowly in t than any argument, so the sums stay monotone in t.
     """
     z_half = norm_quantile(0.5 * t)
     draws = np.asarray(draws, dtype=float)
     n = draws.shape[0]
     over_all = np.empty(n)
     over_nulls = None if nulls is None else np.empty(n)
+    a_low = np.min(model.a[nulls] if nulls is not None and len(nulls) else model.a)
+    negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
+    cut = norm_quantile(negligible) if negligible > 0.0 else -np.inf
     # Two blocks reused by every chunk; each step writes into one of them.
     terms_block = np.empty((min(_DRAW_CHUNK, n), model.p))
     eta_block = np.empty_like(terms_block)
@@ -145,15 +153,34 @@ def numerator_over_draws(
             eta += shift
         np.add(eta, z_half, out=terms)
         np.multiply(terms, model.a, out=terms)
-        norm_cdf(terms, out=terms)
         np.subtract(z_half, eta, out=eta)
         np.multiply(eta, model.a, out=eta)
-        terms += norm_cdf(eta, out=eta)
+        _cdf_above(terms, cut)
+        _cdf_above(eta, cut)
+        terms += eta
         over_all[start:stop] = np.sum(terms, axis=1)
         if nulls is not None:
-            # np.take stays C-ordered: row sums add as over a null-only model.
-            over_nulls[start:stop] = np.sum(np.take(terms, nulls, axis=1), axis=1)
+            # Gathered C-ordered into eta's storage, the null columns sum as in a null-only model.
+            gathered = eta.ravel()[: eta.shape[0] * len(nulls)].reshape(eta.shape[0], len(nulls))
+            over_nulls[start:stop] = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
     return over_all, over_nulls
+
+
+def _cdf_above(args: np.ndarray, cut: float) -> None:
+    """Overwrite the C-contiguous `args` with Phi(args), and with 0 where args <= cut.
+
+    The CDF sees only the arguments above cut, gathered, unless they are most of the block:
+    then it runs over the block in place, cheaper than the gather and scatter, and zeroes the rest.
+    """
+    keep = args > cut
+    if 2 * np.count_nonzero(keep) > keep.size:
+        norm_cdf(args, out=args)
+        args *= keep
+        return
+    at = np.flatnonzero(keep)
+    values = args.ravel()[at]
+    args.fill(0.0)
+    args.ravel()[at] = norm_cdf(values, out=values)
 
 
 def fdp_limit(

@@ -108,15 +108,13 @@ def approx_fdr(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> floa
     if model.k == 0:
         numerator = model.p * t
         return numerator / (numerator + p1)
-    numerators, _ = numerator_over_draws(t, model, draws)
-    totals = numerators + p1
-    ratios = np.divide(
-        numerators,
-        totals,
-        out=np.zeros_like(numerators),
-        where=totals > 0.0,
-    )
-    return float(np.mean(ratios))
+    return mean_fdr(numerator_over_draws(t, model, draws)[0], p1)
+
+
+def mean_fdr(counts: np.ndarray, p1: int) -> float:
+    """Mean of N / (N + p1) over the false counts N of the factor draws; 0/0 counts 0."""
+    totals = counts + p1
+    return float(np.mean(np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0.0)))
 
 
 def solve_threshold(

@@ -37,11 +37,11 @@ from .factors import (
     select_num_factors,
     standard_factor_draws,
 )
-from .fdr import approx_fdr, bh_procedure, efron_estimate, storey_estimate, storey_procedure
+from .fdr import approx_fdr, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
-from .simulate import Scenario, check_ints, check_keys, generate_design, realized_counts, standardize
+from .simulate import Scenario, check_ints, check_keys, check_reals, generate_design, real, realized_counts, standardize
 
 __all__ = [
     "ExperimentConfig",
@@ -114,13 +114,14 @@ class ExperimentConfig:
     storey_lambda: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", tuple(real("t_grid entry", t) for t in self.t_grid))
         if not self.t_grid:
             raise ValueError("t_grid must not be empty")
         if any(not 0.0 < t < 1.0 for t in self.t_grid):
             raise ValueError(f"every threshold must lie in (0, 1), got {self.t_grid}")
         _check_distinct("t_grid", self.t_grid)
         check_ints(self, "n_reps", "seed", "n_mc")
+        check_reals(self, "epsilon", "calibration_fraction", "control_alpha", "efron_x0", "storey_lambda")
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         if self.seed < 0:
@@ -131,7 +132,9 @@ class ExperimentConfig:
             raise ValueError(f"n_mc must be at least 2, got {self.n_mc}")
         if not 0.0 < self.calibration_fraction <= 1.0:
             raise ValueError(f"calibration_fraction must lie in (0, 1], got {self.calibration_fraction}")
-        for name in ("control_alpha", "storey_lambda"):
+        if not self.efron_x0 > 0.0:
+            raise ValueError(f"efron_x0 must be positive, got {self.efron_x0}")
+        for name in ("epsilon", "control_alpha", "storey_lambda"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -279,16 +282,14 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
         yield reps, statistics
 
 
-def _numerator_variances(t: float, state: ScenarioState, draws: np.ndarray) -> dict:
-    """MC variances of the false-count numerator over all indices and over the true nulls.
-
-    Both are exactly 0.0 for k = 0, where the numerator does not depend on
-    the factors.
-    """
+def _mc_aggregates(t: float, state: ScenarioState, draws: np.ndarray) -> dict:
+    """The `_MC_KEYS` at t from one numerator pass; for k = 0 exactly p t / (p t + p1), 0 and 0."""
     if state.k == 0:
-        return {"var_numerator_all": 0.0, "var_numerator_nulls": 0.0}
+        fdr = approx_fdr(t, state.model, state.scenario.p1, draws)
+        return {"approx_fdr": fdr, "var_numerator_all": 0.0, "var_numerator_nulls": 0.0}
     over_all, over_nulls = numerator_over_draws(t, state.model, draws, nulls=state.true_nulls)
     return {
+        "approx_fdr": mean_fdr(over_all, state.scenario.p1),
         "var_numerator_all": float(np.var(over_all, ddof=1)),
         "var_numerator_nulls": float(np.var(over_nulls, ddof=1)),
     }
@@ -359,8 +360,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     draws = standard_factor_draws(state.k, config.n_mc, config.seed)
     for t in config.t_grid:
         summary = _aggregate_per_t(records, t)
-        summary["approx_fdr"] = approx_fdr(t, state.model, config.scenario.p1, draws)
-        summary.update(_numerator_variances(t, state, draws))
+        summary.update(_mc_aggregates(t, state, draws))
         aggregates["per_t"][_t_key(t)] = summary
     return ExperimentOutput(config=config, records=records, aggregates=aggregates)
 
@@ -393,7 +393,7 @@ def variance_study(
     counts = np.empty(n_reps)
     for reps, statistics in _draw_statistics(config, state, 256):
         counts[reps.start : reps.stop] = realized_counts(statistics, state.true_nulls, t)[0]
-    draws = standard_factor_draws(state.k, n_mc, seed)
+    mc = _mc_aggregates(t, state, standard_factor_draws(state.k, n_mc, seed))
     return {
         "version": __version__,
         "config": config.to_dict(),
@@ -402,7 +402,8 @@ def variance_study(
         "t": float(t),
         "mean_V": float(np.mean(counts)),
         "var_V_empirical": float(np.var(counts, ddof=1)),
-        **_numerator_variances(t, state, draws),
+        "var_numerator_all": mc["var_numerator_all"],
+        "var_numerator_nulls": mc["var_numerator_nulls"],
     }
 
 

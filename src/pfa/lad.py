@@ -91,7 +91,8 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     the smallest residuals after a least-squares fit and a few IRLS steps;
     `iterations` counts those steps plus the pivots. Each pivot lowers the
     objective or keeps it, so a fit that hits the pivot cap returns its
-    last vertex, the best seen, with `converged=False`.
+    last vertex, the best seen, with `converged=False`. A least-squares fit with every
+    residual in the zero band (usual at k = n - 1) is certified at once: 0 bounds any L1 objective.
     """
     design = np.asarray(loadings_sub, dtype=float)
     z = np.asarray(z_sub, dtype=float)
@@ -108,7 +109,10 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
     # Start: least squares, then IRLS steps on sqrt(r^2 + mu^2) at one mu.
     beta = np.linalg.solve(gram, design.T @ z)
-    mu = max(_IRLS_MU * float(np.median(np.abs(z - design @ beta))), band)
+    residual = np.abs(z - design @ beta)
+    if np.all(residual <= band):
+        return FactorFit(w_hat=beta, objective=float(np.sum(residual)), iterations=0, converged=True)
+    mu = max(_IRLS_MU * float(np.median(residual)), band)
     for _ in range(_IRLS_STEPS):
         weights = 1.0 / np.sqrt(np.square(z - design @ beta) + mu * mu)
         weighted = design * weights[:, None]

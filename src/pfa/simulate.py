@@ -10,6 +10,7 @@ the standardized marginal-regression coefficients given the design.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -71,6 +72,20 @@ def check_ints(obj, *names: str) -> None:
         object.__setattr__(obj, name, int(value))
 
 
+def real(name: str, value) -> float:
+    """`value` as a Python float; raise TypeError naming a bool, non-real or non-finite one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise TypeError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def check_reals(obj, *names: str) -> None:
+    """Store each named field of `obj` that is not None as a Python float, checked by `real`."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, real(name, getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One dependence structure with its sampling parameters."""
@@ -87,6 +102,7 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}")
         check_ints(self, "p", "n", "p1")
+        check_reals(self, "beta", "sigma", "rho")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
         if self.n < 2:

@@ -322,6 +322,14 @@ class TestConfigKeys:
             ({"seed": -1}, "seed must not be negative, got -1"),
             ({"scenario": {"kind": "two_factor", "p": 60.5, "n": 40, "p1": 4}}, "p must be an integer, got 60.5"),
             ({"t_grid": [0.02, 0.01, 0.02]}, "t_grid repeats 0.02"),
+            ({"epsilon": "0.01"}, "epsilon must be a finite real number, got '0.01'"),
+            ({"efron_x0": "1"}, "efron_x0 must be a finite real number, got '1'"),
+            ({"epsilon": 5}, "epsilon must lie in (0, 1), got 5.0"),
+            ({"t_grid": ["0.02"]}, "t_grid entry must be a finite real number, got '0.02'"),
+            ({"storey_lambda": True}, "storey_lambda must be a finite real number, got True"),
+            ({"efron_x0": 0}, "efron_x0 must be positive, got 0.0"),
+            ({"control_alpha": "0.1"}, "control_alpha must be a finite real number, got '0.1'"),
+            ({"scenario": {"kind": "two_factor", "p": 60, "beta": "1"}}, "beta must be a finite real number, got '1'"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, change, message):
@@ -347,6 +355,8 @@ class TestConfigKeys:
             ({"n_reps": 10.5}, None, "n_reps must be an integer, got 10.5"),
             ({"seed": 1.5}, None, "seed must be an integer, got 1.5"),
             ({"seed": -3}, None, "seed must not be negative, got -3"),
+            ({"epsilon": "0.01"}, None, "epsilon must be a finite real number, got '0.01'"),
+            ({"t_grid": ["0.05"]}, None, "t_grid entry must be a finite real number, got '0.05'"),
         ],
     )
     def test_convergence(self, tmp_path, capsys, change, dropped, message):

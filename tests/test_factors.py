@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pfa.factors import (
     A_CAP,
     FactorModel,
+    _cdf_above,
     build_factor_model,
     estimate_fdp,
     fdp_limit,
@@ -15,6 +16,7 @@ from pfa.factors import (
     select_num_factors,
     standard_factor_draws,
 )
+from pfa.fdr import solve_threshold
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
 from pfa.linalg import EigenSystem, equal_correlation, spectral_decompose
@@ -395,13 +397,24 @@ class TestOneEvaluationPerChunk:
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         p = 50
         fdp_limit(0.01, exchangeable_model(p, 0.5), np.zeros(p), np.arange(5, p), standard_factor_draws(1, 600, 0))
-        # 600 rows are three chunks; each evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once.
-        assert len(calls) == 2 * 3
+        # 600 rows are three chunks; each evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once,
+        # after one scalar call for the cut-off.
+        assert len(calls) == 1 + 2 * 3
         calls.clear()
         scenario = Scenario(kind="equal_correlation", p=60, n=30, p1=4)
         result = variance_study(scenario, t=0.01, n_reps=20, n_mc=600, seed=1)
         assert result["k"] > 0
-        assert len(calls) == 2 * 3
+        assert len(calls) == 1 + 2 * 3
+
+
+def assert_within_pruning_bound(got, want, p):
+    """Per draw, |got - want| <= (2^-54 + 2p 2^-53) want.
+
+    2^-54 bounds the terms numerator_over_draws skips, and 2p 2^-53 the
+    rounding of a sum of at most 2p positive terms, in either evaluation.
+    """
+    bound = (2.0**-54 + 2 * p * 2.0**-53) * want
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / want)
 
 
 class TestBufferedNumerator:
@@ -420,9 +433,10 @@ class TestBufferedNumerator:
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("with_nulls", [False, True])
     @pytest.mark.parametrize("with_shift", [False, True])
-    def test_bit_identical_to_the_plain_formula(self, n, with_nulls, with_shift):
+    def test_within_the_pruning_bound_of_the_plain_formula(self, n, with_nulls, with_shift):
         # Dyadic loadings and draws make eta exact in any BLAS blocking, so
-        # the comparison sees only the buffered elementwise steps and the sums.
+        # the comparison sees only the buffered elementwise steps, the skipped
+        # terms and the sums.
         rng = np.random.default_rng(n)
         p, k = 150, 3
         loadings = rng.integers(-3, 4, size=(p, k)) / 8.0
@@ -440,8 +454,129 @@ class TestBufferedNumerator:
         for t in (1e-6, 0.01, 0.3):
             over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
             want_all, want_nulls = self.plain_numerator(t, model, draws, nulls, shift)
-            np.testing.assert_array_equal(over_all, want_all)
+            assert_within_pruning_bound(over_all, want_all, p)
             if with_nulls:
-                np.testing.assert_array_equal(over_nulls, want_nulls)
+                assert_within_pruning_bound(over_nulls, want_nulls, p)
             else:
                 assert over_nulls is None
+
+
+def steep_model(p=400, k=5, seed=0, capped=0):
+    """Factor model with a_i log-uniform on [4, 40], the first `capped` rows at A_CAP.
+
+    Uncapped rows satisfy a_i = (1 - ||b_i||^2)^(-1/2) exactly as a
+    principal-factor model does, and with a_low > 3 most terms fall below
+    the cut-off of numerator_over_draws at moderate thresholds.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(np.log(4.0), np.log(40.0), size=p))
+    directions = rng.standard_normal((p, k))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    loadings = directions * np.sqrt(1.0 - 1.0 / a**2)[:, None]
+    a[:capped] = A_CAP
+    loadings[:capped] = directions[:capped]
+    return FactorModel(p=p, k=k, loadings=loadings, a=a, eigenvalues=np.ones(p), degenerate_rows=np.arange(capped))
+
+
+def dense_numerator(t, model, draws, nulls=None, shift=None):
+    """Every term of the false count, summed over all indices and over nulls."""
+    z_half = norm_quantile(0.5 * t)
+    s = draws @ model.loadings.T
+    if shift is not None:
+        s = s + shift
+    terms = norm_cdf(model.a * (z_half + s)) + norm_cdf(model.a * (z_half - s))
+    return np.sum(terms, axis=1), None if nulls is None else np.sum(terms[:, nulls], axis=1)
+
+
+class TestPrunedNumerator:
+    """numerator_over_draws skips the terms below its cut-off and nothing else."""
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-6, 0.005, 0.5])
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    @pytest.mark.parametrize("with_shift", [False, True])
+    def test_agrees_with_the_dense_formula(self, t, with_nulls, with_shift):
+        rng = np.random.default_rng(7)
+        model = steep_model(p=300, capped=6)
+        draws = standard_factor_draws(model.k, 300, 1)
+        # The nulls hold capped rows and leave out the row with the smallest a.
+        nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))]) if with_nulls else None
+        shift = rng.uniform(0.0, 3.0, size=model.p) if with_shift else None
+        over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
+        want_all, want_nulls = dense_numerator(t, model, draws, nulls, shift)
+        assert_within_pruning_bound(over_all, want_all, model.p)
+        if with_nulls:
+            assert_within_pruning_bound(over_nulls, want_nulls, model.p)
+        else:
+            assert over_nulls is None
+
+    @pytest.mark.parametrize("t", [1e-12, 0.005])
+    def test_edge_cases_agree_with_the_dense_formula(self, t):
+        model = steep_model(p=200, capped=4)
+        draws = standard_factor_draws(model.k, 50, 2)
+        empty = np.zeros(0, dtype=np.intp)
+        over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=empty)
+        assert_within_pruning_bound(over_all, dense_numerator(t, model, draws)[0], model.p)
+        assert np.all(over_nulls == 0.0)
+        (one,), _ = numerator_over_draws(t, model, draws[:1])
+        assert_within_pruning_bound(one, dense_numerator(t, model, draws[:1])[0][0], model.p)
+        # Nulls all capped: Phi(a_low z) underflows, so no term may be skipped.
+        capped = np.arange(4)
+        _, over_capped = numerator_over_draws(t, model, draws, nulls=capped)
+        assert_within_pruning_bound(over_capped, dense_numerator(t, model, draws, capped)[1], model.p)
+        no_factors = FactorModel(
+            p=200, k=0, loadings=np.zeros((200, 0)), a=model.a, eigenvalues=np.ones(200), degenerate_rows=capped
+        )
+        got, _ = numerator_over_draws(t, no_factors, np.zeros((3, 0)))
+        assert_within_pruning_bound(got, dense_numerator(t, no_factors, np.zeros((3, 0)))[0], model.p)
+
+    @pytest.mark.parametrize("t", [0.005, 0.05])
+    def test_mean_is_p_times_t(self, t):
+        # With eta_i ~ N(0, ||b_i||^2) and a_i = (1 - ||b_i||^2)^(-1/2),
+        # E Phi(a_i (z + eta_i)) = Phi(z) for every i, so E N(W) = p t exactly.
+        model = steep_model()
+        over_all, _ = numerator_over_draws(t, model, standard_factor_draws(model.k, 20000, 3))
+        standard_error = np.std(over_all, ddof=1) / np.sqrt(over_all.size)
+        assert abs(np.mean(over_all) - model.p * t) <= 5.0 * standard_error
+
+    def test_curve_is_monotone(self):
+        model = steep_model()
+        draws = standard_factor_draws(model.k, 500, 4)
+        grid = np.logspace(-10, np.log10(0.5), 40)
+        sums = np.stack([numerator_over_draws(t, model, draws)[0] for t in grid])
+        assert np.all(np.diff(sums, axis=0) > 0.0)
+        result = solve_threshold(0.05, model, 10, draws)
+        fdr = [value for _, value in result.curve]
+        assert all(low < high for low, high in zip(fdr, fdr[1:]))
+
+    def test_both_evaluations_match_the_masked_formula(self):
+        # Under half the block above the cut-off is gathered; more is evaluated in place.
+        rng = np.random.default_rng(3)
+        for share in (0.1, 0.5, 0.9):
+            args = 5.0 * rng.standard_normal((7, 50))
+            cut = float(np.quantile(args, 1.0 - share))
+            got = args.copy()
+            _cdf_above(got, cut)
+            np.testing.assert_array_equal(got, np.where(args > cut, norm_cdf(args), 0.0))
+
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    def test_cdf_sees_only_the_arguments_above_the_cut_off(self, monkeypatch, with_nulls):
+        seen = []
+
+        def counting_cdf(x, out=None):
+            seen.append(np.size(x))
+            return norm_cdf(x, out=out)
+
+        monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
+        model = steep_model()
+        n, t = 250, 0.005  # one chunk of draws
+        draws = standard_factor_draws(model.k, n, 5)
+        # Without the row of the smallest a, the nulls give a lower cut-off.
+        nulls = np.setdiff1d(np.arange(model.p), [np.argmin(model.a)]) if with_nulls else None
+        numerator_over_draws(t, model, draws, nulls=nulls)
+        assert sum(seen) < 0.2 * 2 * n * model.p
+        z_half = norm_quantile(0.5 * t)
+        a_low = np.min(model.a if nulls is None else model.a[nulls])
+        cut = norm_quantile(2.0**-54 * norm_cdf(a_low * z_half) / (2 * model.p))
+        size = np.abs(draws @ model.loadings.T)
+        above = np.count_nonzero((size + z_half) * model.a > cut) + np.count_nonzero((z_half - size) * model.a > cut)
+        assert sum(seen) == 1 + above  # and one scalar call for the cut-off itself

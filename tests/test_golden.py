@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "27aabf4c361f14cf260aeb53033a9e8f6855863897d84bb02cbf67cf14b4968c",
-        "estimate.json": "16f1487b6902551a0c83fad07bcef7b4b15d4696e92e3567908acb0be050cd04",
+        "control.json": "cc9a3c8ed8e6e18d66b7c5ceb6e5265a509a80524bf0284dd84d6a1f8df39fdf",
+        "estimate.json": "115658070b8a62b0810fa081c70ab7f6a3b23e4915b11d26e95f6e292b8a90cf",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "1380205094139d6566a87835c1f7d7db523ee92e3c27f667e7a50d9ebc9ffe92",
         "convergence_p40_t0.1.csv": "dde561b813a9da53421314793304eacb6023dedcc8c13064a8cd4ab51de44dc2",
         "convergence_p60_t0.05.csv": "36bc7ab486d050dae8adc8034891053caa1cef910776d63d78b625889c343dc1",
         "convergence_p60_t0.1.csv": "4be2653aedb93af059dd648df86092c9c52efae1e3c3df8e04fe3b8dd9371baa",
-        "convergence_summary.json": "40627907ded0582fbc0f00ec5ff8437b978180cc08862bf42fec4e6bc86d837d",
+        "convergence_summary.json": "ddf0330a151d44ae00ac06e70b95b5087f05d735398013ec15cbd841a23998d9",
     },
     "experiment": {
-        "aggregates.json": "86efd03988428eb9df34a42d1733f3f675141b5ebacedd3acb2f86f358712b60",
+        "aggregates.json": "e904fda63b9cd329d0fda4147b70f1582015cda698dbe4f51a49b9fe344d740e",
         "records.csv": "a1ffe1c1827e557155b2f931cfdcb95e3158ecf8a59299ee4d7615d48db0afd7",
     },
     "experiment_random_no_estimators": {
-        "aggregates.json": "ff9f50bf8d640b0b12e45cd046b27ef7b54462a48e400fcd4f132bca1af15591",
+        "aggregates.json": "34bfcf16315a6760f160e607d330b7f70267f052055d6bd6fbb5d5d242f9dfc0",
         "records.csv": "95a0f7dcda4295d5575866c55e70658d6e9d11c2a0195d94b88a8524a5983eac",
     },
     "variance_study": {
-        "variance.json": "b1a9c0e096089ae789e9cd634547fd74e61212027349658b04ba6e9af8390a84",
+        "variance.json": "b1d14f82c4bd62580a819dd3f7013ba575d325b93dca350c3a92f915bb7c3746",
     },
 }
 

@@ -248,6 +248,29 @@ class TestLadMatchesLinearProgram:
             assert design.shape == (750, 91)
             self._check(design, z)
 
+    def test_exact_fit_at_k_equal_n_minus_1(self):
+        # With k = n - 1 the null statistics lie in the span of the loadings,
+        # so a calibration set of nulls only has an L1 optimum of 0, and the
+        # relative check of _check cannot pass. The bound is absolute: one
+        # zero band per row, m * 1e-12 * max(1, max|z|). Replication 41 here
+        # is one whose basis solve leaves residuals above the zero band.
+        config = ExperimentConfig(
+            scenario=Scenario(kind="independent_cauchy", p=1000, n=100, p1=0),
+            t_grid=(0.01,),
+            n_reps=42,
+            seed=42,
+            epsilon=1e-6,
+        )
+        state = prepare_scenario(config)
+        assert state.k == 99
+        _, statistics = next(_draw_statistics(config, state))
+        rows = select_calibration_set(statistics[41], config.calibration_fraction)
+        design, z = state.model.loadings[rows], statistics[41][rows]
+        fit = lad_regress(design, z)
+        assert fit.converged
+        bound = design.shape[0] * pfa.lad._ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
+        assert fit.objective <= highs_objective(design, z) + bound
+
     def test_pivot_cap_returns_best_vertex_uncertified(self, monkeypatch):
         design, z = random_instance(1)
         optimum = lad_regress(design, z)
