@@ -167,17 +167,11 @@ def numerator_over_draws(
 
 
 def _cdf_above(args: np.ndarray, cut: float) -> None:
-    """Overwrite the C-contiguous `args` with Phi(args), and with 0 where args <= cut.
+    """Overwrite the C-contiguous `args` with Phi(args) where args > cut, and with 0 elsewhere.
 
-    The CDF sees only the arguments above cut, gathered, unless they are most of the block:
-    then it runs over the block in place, cheaper than the gather and scatter, and zeroes the rest.
+    The CDF sees only the arguments above cut: they are gathered, evaluated and scattered back.
     """
-    keep = args > cut
-    if 2 * np.count_nonzero(keep) > keep.size:
-        norm_cdf(args, out=args)
-        args *= keep
-        return
-    at = np.flatnonzero(keep)
+    at = np.flatnonzero(args > cut)
     values = args.ravel()[at]
     args.fill(0.0)
     args.ravel()[at] = norm_cdf(values, out=values)

@@ -122,6 +122,9 @@ class ExperimentConfig:
         _check_distinct("t_grid", self.t_grid)
         check_ints(self, "n_reps", "seed", "n_mc")
         check_reals(self, "epsilon", "calibration_fraction", "control_alpha", "efron_x0", "storey_lambda")
+        if not isinstance(self.with_estimators, (bool, np.bool_)):
+            raise TypeError(f"with_estimators must be a boolean, got {self.with_estimators!r}")
+        object.__setattr__(self, "with_estimators", bool(self.with_estimators))
         if self.n_reps < 1:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         if self.seed < 0:
@@ -223,10 +226,13 @@ def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[Fa
     return lad_regress(model.loadings[calibration], z[calibration]), calibration.size
 
 
-def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray) -> list[dict]:
-    pvalues = two_sided_pvalue(z)
-
-    fit = None
+def _replication_row(
+    config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray, counts: list[list[int]]
+) -> list[dict]:
+    """One record per threshold; `counts` holds the replication's V, S and R lists over t_grid."""
+    fit = pvalues = None
+    if config.with_estimators or config.control_alpha is not None:
+        pvalues = two_sided_pvalue(z)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
 
@@ -242,8 +248,7 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
 
     rows = []
     p0 = state.scenario.p - state.scenario.p1
-    for t in config.t_grid:
-        v, s, r = map(int, realized_counts(z, state.true_nulls, t))
+    for t, v, s, r in zip(config.t_grid, *counts):
         row = {
             "rep": rep,
             "t": t,
@@ -266,7 +271,7 @@ def _replication_row(config: ExperimentConfig, state: ScenarioState, rep: int, z
     return rows
 
 
-def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 512):
+def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 256):
     """(reps, statistics) chunks of the N(mu, x'x) draws of every replication.
 
     Each replication takes its n standard normals g from its own substream
@@ -345,8 +350,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     state = prepare_scenario(config)
     records: list[dict] = []
     for reps, statistics in _draw_statistics(config, state):
-        for rep, z in zip(reps, statistics):
-            records.extend(_replication_row(config, state, rep, z))
+        # (reps, 3, thresholds): every replication's V, S and R, counted once per chunk.
+        counts = np.array([realized_counts(statistics, state.true_nulls, t) for t in config.t_grid]).T.tolist()
+        # Indexed, not iterated: a row view still bound after the loop would keep this chunk alive
+        # while the next one is counted, whose temporaries would then take fresh pages.
+        for i, rep in enumerate(reps):
+            records.extend(_replication_row(config, state, rep, statistics[i], counts[i]))
 
     aggregates: dict = {
         "version": __version__,
@@ -375,35 +384,23 @@ def variance_study(
 ) -> dict:
     """Empirical false-count variance versus the factor-formula MC variance.
 
-    Counts false discoveries over n_reps statistic draws (no estimators, so
-    very large replication counts stay cheap) and sets them against the
-    Monte-Carlo variance of the conditional false-count numerator over
-    factor draws, for the all-index and true-null index sets.
+    This is run_experiment at the one threshold t without estimators, so very large replication
+    counts stay cheap: the variance of V over n_reps statistic draws against the Monte-Carlo
+    variance of the conditional false-count numerator, over all indices and over the true nulls.
     """
-    config = ExperimentConfig(
-        scenario=scenario,
-        t_grid=(t,),
-        n_reps=n_reps,
-        seed=seed,
-        n_mc=n_mc,
-        epsilon=epsilon,
-        with_estimators=False,
-    )
-    state = prepare_scenario(config)
-    counts = np.empty(n_reps)
-    for reps, statistics in _draw_statistics(config, state, 256):
-        counts[reps.start : reps.stop] = realized_counts(statistics, state.true_nulls, t)[0]
-    mc = _mc_aggregates(t, state, standard_factor_draws(state.k, n_mc, seed))
+    config = ExperimentConfig(scenario, (t,), n_reps, seed, n_mc=n_mc, epsilon=epsilon, with_estimators=False)
+    aggregates = run_experiment(config).aggregates
+    summary = aggregates["per_t"][_t_key(t)]
     return {
         "version": __version__,
-        "config": config.to_dict(),
-        "k": state.k,
-        "tail_energy_at_k": state.tail_energy,
+        "config": aggregates["config"],
+        "k": aggregates["k"],
+        "tail_energy_at_k": aggregates["tail_energy_at_k"],
         "t": float(t),
-        "mean_V": float(np.mean(counts)),
-        "var_V_empirical": float(np.var(counts, ddof=1)),
-        "var_numerator_all": mc["var_numerator_all"],
-        "var_numerator_nulls": mc["var_numerator_nulls"],
+        "mean_V": summary["mean_V"],
+        "var_V_empirical": summary["var_V"],
+        "var_numerator_all": summary["var_numerator_all"],
+        "var_numerator_nulls": summary["var_numerator_nulls"],
     }
 
 
@@ -512,6 +509,8 @@ def convergence_configs(scenario: Scenario, p_grid, t_grid, n_reps, seed, epsilo
     """One experiment config per dimension of a convergence study; a bad setting fails here, before any work."""
     base = ExperimentConfig(scenario, tuple(t_grid), n_reps, seed, epsilon=epsilon, with_estimators=False)
     configs = [replace(base, scenario=scenario.with_p(p)) for p in p_grid]
+    if not configs:
+        raise ValueError("p_grid must not be empty")
     _check_distinct("p_grid", [config.scenario.p for config in configs])
     return configs
 

@@ -330,6 +330,8 @@ class TestConfigKeys:
             ({"efron_x0": 0}, "efron_x0 must be positive, got 0.0"),
             ({"control_alpha": "0.1"}, "control_alpha must be a finite real number, got '0.1'"),
             ({"scenario": {"kind": "two_factor", "p": 60, "beta": "1"}}, "beta must be a finite real number, got '1'"),
+            ({"with_estimators": "false"}, "with_estimators must be a boolean, got 'false'"),
+            ({"with_estimators": None}, "with_estimators must be a boolean, got None"),
         ],
     )
     def test_simulate(self, tmp_path, capsys, change, message):
@@ -351,6 +353,7 @@ class TestConfigKeys:
             ({"p_grid": 40}, None, "'int' object is not iterable"),
             ({"p_grid": [40, 60.0]}, None, "p must be an integer, got 60.0"),
             ({"p_grid": [40, 60, 40]}, None, "p_grid repeats 40"),
+            ({"p_grid": []}, None, "p_grid must not be empty"),
             ({"t_grid": [0.05, 0.05]}, None, "t_grid repeats 0.05"),
             ({"n_reps": 10.5}, None, "n_reps must be an integer, got 10.5"),
             ({"seed": 1.5}, None, "seed must be an integer, got 1.5"),

@@ -548,8 +548,8 @@ class TestPrunedNumerator:
         fdr = [value for _, value in result.curve]
         assert all(low < high for low, high in zip(fdr, fdr[1:]))
 
-    def test_both_evaluations_match_the_masked_formula(self):
-        # Under half the block above the cut-off is gathered; more is evaluated in place.
+    def test_matches_the_masked_formula(self):
+        # From a tenth of the block above the cut-off to nine tenths of it.
         rng = np.random.default_rng(3)
         for share in (0.1, 0.5, 0.9):
             args = 5.0 * rng.standard_normal((7, 50))

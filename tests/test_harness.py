@@ -263,6 +263,20 @@ class TestRunExperiment:
         assert output.aggregates["k"] == 99
         assert {row["lad_converged"] for row in output.records} == {1}
 
+    @pytest.mark.parametrize("with_estimators, sizes", [(False, (1, 3)), (True, (3,))])
+    def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch, with_estimators, sizes):
+        # Each replication draws from its own substream, and its counts come from one batched call
+        # per chunk. With estimators no chunk may hold a single row: numpy multiplies it with a
+        # matrix-vector product, which rounds differently from the rows of a matrix product.
+        config = small_config(with_estimators=with_estimators)
+        default = run_experiment(config)
+        draw = pfa.harness._draw_statistics
+        for size in sizes:
+            monkeypatch.setattr(pfa.harness, "_draw_statistics", lambda config, state: draw(config, state, size))
+            output = run_experiment(config)
+            assert output.records == default.records
+            assert output.aggregates == default.aggregates
+
     def test_record_cells_are_plain_python(self):
         # numpy scalars would be written with their numpy-2 repr, "np.float64(...)"
         output = run_experiment(small_config())
@@ -277,6 +291,24 @@ def whole_tail_energy(state):
 
 
 class TestVarianceStudy:
+    def test_is_run_experiment_at_one_threshold(self):
+        scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6)
+        result = variance_study(scenario, t=0.01, n_reps=300, n_mc=300, seed=5)
+        config = ExperimentConfig(
+            scenario=scenario, t_grid=(0.01,), n_reps=300, seed=5, n_mc=300, with_estimators=False
+        )
+        aggregates = run_experiment(config).aggregates
+        summary = aggregates["per_t"][repr(0.01)]
+        assert result["config"] == aggregates["config"]
+        assert result["k"] == aggregates["k"] > 0
+        for key, aggregate_key in (
+            ("mean_V", "mean_V"),
+            ("var_V_empirical", "var_V"),
+            ("var_numerator_all", "var_numerator_all"),
+            ("var_numerator_nulls", "var_numerator_nulls"),
+        ):
+            assert result[key] == summary[aggregate_key]
+
     def test_reports_tail_energy_at_k(self):
         scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6)
         result = variance_study(scenario, t=0.01, n_reps=50, n_mc=50, seed=5)
