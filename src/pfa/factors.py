@@ -112,7 +112,7 @@ def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
 
 
 def numerator_over_draws(
-    t: float,
+    t: float | np.ndarray,
     model: FactorModel,
     draws: np.ndarray,
     nulls: np.ndarray | None = None,
@@ -127,64 +127,92 @@ def numerator_over_draws(
     twice: over all indices (`over_all`, the conservative surrogate the
     estimator uses) and over the index set `nulls` (`over_nulls`, None when
     `nulls` is None). With nulls the true nulls, where mu vanishes, the
-    second sum is the exact limiting count.
+    second sum is the exact limiting count. For a 1-D array t, the sums
+    have one row per threshold, in the order given.
 
     Each sum is at least Phi(a_low z_{t/2}), a_low the smallest a_i over `nulls` (over all indices
     without them), so terms with arguments at or below c = Phi^-1(2^-54 Phi(a_low z_{t/2}) / (2p))
-    count as 0 (`_cdf_above`): the at most 2p of them change a sum by less than 2^-54 of it. c
-    rises more slowly in t than any argument, so the sums stay monotone in t.
+    count as 0 (`_cdf_above`): the at most 2p of them change a sum by less than 2^-54 of it. In z =
+    z_{t/2} an argument a_i (z + s_i) rises at rate a_i >= a_low and c at rate a_low lambda(a_low z)
+    / lambda(c) < a_low (the hazard lambda = phi / Phi decreases; c < a_low z), so a term cut at t
+    stays cut at every smaller t and the sums stay monotone in t. Thresholds are swept from the
+    largest down on each block's s, a later one forming arguments only where an earlier one kept a
+    term: its sums are a one-threshold call's, bit for bit, but for terms at the cut-off (inside
+    the 2^-54 bound) that rounding can drop between thresholds only floats apart.
     """
-    z_half = norm_quantile(0.5 * t)
+    thresholds = np.asarray(t, dtype=float)
     draws = np.asarray(draws, dtype=float)
     n = draws.shape[0]
-    over_all = np.empty(n)
-    over_nulls = None if nulls is None else np.empty(n)
+    over_all = np.empty(thresholds.shape + (n,))
+    over_nulls = None if nulls is None else np.empty_like(over_all)
     a_low = np.min(model.a[nulls] if nulls is not None and len(nulls) else model.a)
-    negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
-    cut = norm_quantile(negligible) if negligible > 0.0 else -np.inf
-    # Two blocks reused by every chunk; each step writes into one of them.
+    sweep = []  # (row of the sums, z_{t/2}, c), the largest threshold first
+    for j in np.argsort(-thresholds.ravel(), kind="stable"):
+        z_half = norm_quantile(0.5 * thresholds.flat[j])
+        negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
+        sweep.append((j, z_half, norm_quantile(negligible) if negligible > 0.0 else -np.inf))
+    several = len(sweep) > 1
+    # Blocks reused by every chunk; each step writes into one of them. One threshold overwrites
+    # eta with its "-" arguments; several keep eta, so they take a block for those and a tiled a.
     terms_block = np.empty((min(_DRAW_CHUNK, n), model.p))
     eta_block = np.empty_like(terms_block)
+    minus_block = np.empty_like(terms_block) if several else eta_block
+    a_flat = np.tile(model.a, terms_block.shape[0]) if several else None
     for start in range(0, n, _DRAW_CHUNK):
         stop = min(start + _DRAW_CHUNK, n)
-        terms, eta = terms_block[: stop - start], eta_block[: stop - start]
+        terms, eta, minus = terms_block[: stop - start], eta_block[: stop - start], minus_block[: stop - start]
         np.matmul(draws[start:stop], model.loadings.T, out=eta)
         if shift is not None:
             eta += shift
-        np.add(eta, z_half, out=terms)
-        np.multiply(terms, model.a, out=terms)
-        np.subtract(z_half, eta, out=eta)
-        np.multiply(eta, model.a, out=eta)
-        _cdf_above(terms, cut)
-        _cdf_above(eta, cut)
-        terms += eta
-        over_all[start:stop] = np.sum(terms, axis=1)
-        if nulls is not None:
-            # Gathered C-ordered into eta's storage, the null columns sum as in a null-only model.
-            gathered = eta.ravel()[: eta.shape[0] * len(nulls)].reshape(eta.shape[0], len(nulls))
-            over_nulls[start:stop] = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
+        kept = None
+        for j, z_half, cut in sweep:
+            if kept is None:
+                np.add(eta, z_half, out=terms)
+                np.multiply(terms, model.a, out=terms)
+                np.subtract(z_half, eta, out=minus)
+                np.multiply(minus, model.a, out=minus)
+                kept = [_cdf_above(args, cut, eta, a_flat) for args in (terms, minus)]
+                terms += minus
+            else:
+                terms.fill(0.0)
+                for side, (at, eta_kept, a_kept) in enumerate(kept):
+                    args = eta_kept + z_half if side == 0 else z_half - eta_kept
+                    args *= a_kept
+                    above = np.flatnonzero(args > cut)
+                    values, at_above = args.take(above), at.take(above)
+                    if 2 * above.size < at.size:  # forming an argument costs less than compressing it
+                        kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
+                    terms.ravel()[at_above] += norm_cdf(values, out=values)
+            over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
+            if nulls is not None:
+                # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
+                gathered = minus.ravel()[: minus.shape[0] * len(nulls)].reshape(minus.shape[0], len(nulls))
+                sums = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
+                over_nulls.reshape(-1, n)[j, start:stop] = sums
     return over_all, over_nulls
 
 
-def _cdf_above(args: np.ndarray, cut: float) -> None:
+def _cdf_above(args: np.ndarray, cut: float, eta=None, a_flat=None) -> tuple | None:
     """Overwrite the C-contiguous `args` with Phi(args) where args > cut, and with 0 elsewhere.
 
     The CDF sees only the arguments above cut: they are gathered, evaluated and scattered back.
+    With the tiled a of several thresholds, returns their flat indices with their eta and a.
     """
     at = np.flatnonzero(args > cut)
     values = args.ravel()[at]
     args.fill(0.0)
     args.ravel()[at] = norm_cdf(values, out=values)
+    return None if a_flat is None else (at, eta.ravel()[at], a_flat[at])
 
 
 def fdp_limit(
-    t: float,
+    t: float | np.ndarray,
     model: FactorModel,
     mu: np.ndarray,
     true_nulls: np.ndarray,
     draws: np.ndarray,
 ) -> np.ndarray:
-    """Limiting FDP for each row of `draws`, given the mean shifts mu (zero on true_nulls)."""
+    """Limiting FDP for each row of `draws` (a row of them per threshold of a 1-D t); mu is 0 on true_nulls."""
     denominator, numerator = numerator_over_draws(t, model, draws, nulls=true_nulls, shift=mu)
     ratios = np.divide(
         numerator,

@@ -31,6 +31,7 @@ __all__ = [
     "ControlResult",
     "RejectionSet",
     "approx_fdr",
+    "approx_fdr_curve",
     "solve_threshold",
     "bh_procedure",
     "storey_procedure",
@@ -65,7 +66,7 @@ class ControlResult:
 
     `curve` holds (t, FDR(t)) on 40 log-spaced points from 1e-10 to 0.5
     (the last is the solve's upper end), `evaluations`
-    counts the approx_fdr calls the solve made in all, and `converged` is
+    counts the thresholds the solve evaluated in all, and `converged` is
     whether |fdr_at_t - alpha| <= tol.
     """
 
@@ -94,21 +95,26 @@ class RejectionSet:
 
 
 def approx_fdr(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> float:
-    """Approximate FDR at threshold t with p1 false nulls assumed known.
+    """`approx_fdr_curve` at the one threshold t."""
+    return approx_fdr_curve((t,), model, p1, draws)[0]
+
+
+def approx_fdr_curve(thresholds: tuple[float, ...], model: FactorModel, p1: int, draws: np.ndarray) -> list[float]:
+    """Approximate FDR at each threshold with p1 false nulls assumed known.
 
     The expectation runs over the rows of `draws`, an (n, k) matrix from
-    `standard_factor_draws`; sharing one matrix across thresholds makes the
-    curve monotone in t. For k = 0 it collapses to p*t / (p*t + p1) exactly
-    and the draws are not used.
+    `standard_factor_draws`, swept once for all thresholds; sharing one
+    matrix across thresholds makes the curve monotone in t. For k = 0 it
+    collapses to p*t / (p*t + p1) exactly and the draws are not used.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
+    for t in thresholds:
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {t}")
     if not 0 <= p1 <= model.p:
         raise ValueError(f"p1 must lie in [0, {model.p}], got {p1}")
     if model.k == 0:
-        numerator = model.p * t
-        return numerator / (numerator + p1)
-    return mean_fdr(numerator_over_draws(t, model, draws)[0], p1)
+        return [model.p * t / (model.p * t + p1) for t in thresholds]
+    return [mean_fdr(counts, p1) for counts in numerator_over_draws(np.asarray(thresholds), model, draws)[0]]
 
 
 def mean_fdr(counts: np.ndarray, p1: int) -> float:
@@ -128,13 +134,13 @@ def solve_threshold(
 
     `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 1, used
     at every trial threshold, so the curve is monotone in t. The ends of
-    [1e-12, 0.5] are evaluated first: when alpha lies outside the curve's
-    range there, UnreachableAlphaError (with the boundary value) is raised
-    after these two calls. Then the curve is evaluated on its 40-point grid,
-    and Illinois steps (regula falsi on the logit of the FDR against log t)
-    run only inside the bracket of known points that holds alpha, starting
-    from their values, until |FDR - alpha| <= tol. The point closest to
-    alpha is returned.
+    [1e-12, 0.5] are evaluated first, in one sweep of the draws: when alpha
+    lies outside the curve's range there, UnreachableAlphaError (with the
+    boundary value) is raised after these two thresholds. Then the curve is
+    evaluated on its 40-point grid in a second sweep, and Illinois steps
+    (regula falsi on the logit of the FDR against log t) run only inside the
+    bracket of known points that holds alpha, starting from their values,
+    until |FDR - alpha| <= tol. The point closest to alpha is returned.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -145,18 +151,18 @@ def solve_threshold(
 
     evaluations = 0
 
-    def curve(t: float) -> float:
+    def curve(thresholds: tuple[float, ...]) -> list[float]:
         nonlocal evaluations
-        evaluations += 1
-        return approx_fdr(t, model, p1, draws)
+        evaluations += len(thresholds)
+        return approx_fdr_curve(thresholds, model, p1, draws)
 
-    fdr_high, fdr_low = curve(_T_HIGH), curve(_T_LOW)
+    fdr_high, fdr_low = curve((_T_HIGH, _T_LOW))
     if fdr_high < alpha:
         raise UnreachableAlphaError(alpha, _T_HIGH, fdr_high, side="high")
     if fdr_low > alpha:
         raise UnreachableAlphaError(alpha, _T_LOW, fdr_low, side="low")
 
-    values = [curve(t) for t in _CURVE_GRID[:-1]] + [fdr_high]
+    values = curve(_CURVE_GRID[:-1]) + [fdr_high]
     points = [(_T_LOW, fdr_low), *zip(_CURVE_GRID, values)]
     # The first point at or above alpha and the one before it bracket alpha.
     upper = next(i for i, (_, fdr) in enumerate(points) if fdr >= alpha)
@@ -177,7 +183,7 @@ def solve_threshold(
             if not x_low < x < x_high:
                 break  # the bracket is down to adjacent floats
         t = float(np.exp(x))
-        fdr = curve(t)
+        (fdr,) = curve((t,))
         if abs(fdr - alpha) < abs(best[1] - alpha):
             best = (t, fdr)
         # Illinois: halve the value kept at the end that stays a second time.

@@ -37,7 +37,7 @@ from .factors import (
     select_num_factors,
     standard_factor_draws,
 )
-from .fdr import approx_fdr, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
+from .fdr import approx_fdr_curve, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
 from .lad import FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
@@ -287,17 +287,16 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
         yield reps, statistics
 
 
-def _mc_aggregates(t: float, state: ScenarioState, draws: np.ndarray) -> dict:
-    """The `_MC_KEYS` at t from one numerator pass; for k = 0 exactly p t / (p t + p1), 0 and 0."""
+def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.ndarray) -> list[dict]:
+    """The `_MC_KEYS` at each t from one numerator sweep; for k = 0 exactly p t / (p t + p1), 0 and 0."""
+    p1 = state.scenario.p1
     if state.k == 0:
-        fdr = approx_fdr(t, state.model, state.scenario.p1, draws)
-        return {"approx_fdr": fdr, "var_numerator_all": 0.0, "var_numerator_nulls": 0.0}
-    over_all, over_nulls = numerator_over_draws(t, state.model, draws, nulls=state.true_nulls)
-    return {
-        "approx_fdr": mean_fdr(over_all, state.scenario.p1),
-        "var_numerator_all": float(np.var(over_all, ddof=1)),
-        "var_numerator_nulls": float(np.var(over_nulls, ddof=1)),
-    }
+        return [dict(zip(_MC_KEYS, (fdr, 0.0, 0.0))) for fdr in approx_fdr_curve(t_grid, state.model, p1, draws)]
+    sums = numerator_over_draws(np.asarray(t_grid), state.model, draws, nulls=state.true_nulls)
+    return [
+        dict(zip(_MC_KEYS, (mean_fdr(counts, p1), float(np.var(counts, ddof=1)), float(np.var(null_counts, ddof=1)))))
+        for counts, null_counts in zip(*sums)
+    ]
 
 
 def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -367,10 +366,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "per_t": {},
     }
     draws = standard_factor_draws(state.k, config.n_mc, config.seed)
-    for t in config.t_grid:
-        summary = _aggregate_per_t(records, t)
-        summary.update(_mc_aggregates(t, state, draws))
-        aggregates["per_t"][_t_key(t)] = summary
+    for t, mc in zip(config.t_grid, _mc_aggregates(config.t_grid, state, draws)):
+        aggregates["per_t"][_t_key(t)] = {**_aggregate_per_t(records, t), **mc}
     return ExperimentOutput(config=config, records=records, aggregates=aggregates)
 
 
@@ -556,7 +553,7 @@ def run_convergence(
         draws = np.stack(
             [substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k) for rep in range(n_reps)]
         )
-        limit = {t: fdp_limit(t, state.model, state.mu, state.true_nulls, draws) for t in t_grid}
+        limit = dict(zip(t_grid, fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)))
 
         for t in t_grid:
             distance = float(ks_2samp(empirical[t], limit[t]).statistic)

@@ -16,7 +16,7 @@ from pfa.factors import (
     select_num_factors,
     standard_factor_draws,
 )
-from pfa.fdr import solve_threshold
+from pfa.fdr import _CURVE_GRID, _T_LOW, solve_threshold
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
 from pfa.linalg import EigenSystem, equal_correlation, spectral_decompose
@@ -580,3 +580,99 @@ class TestPrunedNumerator:
         size = np.abs(draws @ model.loadings.T)
         above = np.count_nonzero((size + z_half) * model.a > cut) + np.count_nonzero((z_half - size) * model.a > cut)
         assert sum(seen) == 1 + above  # and one scalar call for the cut-off itself
+
+
+# Both ends of the solver's bracket and its 40-point curve grid.
+SOLVER_GRID = (_T_LOW, *_CURVE_GRID)
+
+
+def one_call_per_threshold(thresholds, model, draws, nulls=None, shift=None):
+    """The sums of numerator_over_draws at each threshold alone, stacked one row per threshold."""
+    calls = [numerator_over_draws(t, model, draws, nulls=nulls, shift=shift) for t in thresholds]
+    return np.stack([c[0] for c in calls]), None if nulls is None else np.stack([c[1] for c in calls])
+
+
+class TestThresholdSweep:
+    """Several thresholds in one call give the sums of one call per threshold, bit for bit."""
+
+    @staticmethod
+    def assert_sweep_matches(thresholds, model, draws, nulls=None, shift=None):
+        over_all, over_nulls = numerator_over_draws(np.asarray(thresholds), model, draws, nulls=nulls, shift=shift)
+        want_all, want_nulls = one_call_per_threshold(thresholds, model, draws, nulls, shift)
+        assert over_all.shape == (len(thresholds), draws.shape[0])
+        np.testing.assert_array_equal(over_all, want_all)
+        if nulls is None:
+            assert over_nulls is None
+        else:
+            np.testing.assert_array_equal(over_nulls, want_nulls)
+
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    @pytest.mark.parametrize("with_shift", [False, True])
+    def test_solver_grid(self, with_nulls, with_shift):
+        rng = np.random.default_rng(11)
+        model = steep_model(p=300, capped=6)
+        draws = standard_factor_draws(model.k, 300, 1)
+        # The nulls hold rows capped at A_CAP and leave out the row with the smallest a.
+        nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))]) if with_nulls else None
+        shift = rng.uniform(0.0, 3.0, size=model.p) if with_shift else None
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls, shift)
+
+    def test_unsorted_thresholds_and_neighbouring_floats(self):
+        model = steep_model(p=200, capped=3)
+        draws = standard_factor_draws(model.k, 100, 2)
+        t = 0.005
+        thresholds = [0.01, np.nextafter(t, 1.0), 1e-8, t, 0.3, np.nextafter(t, 0.0), 1e-8]
+        self.assert_sweep_matches(thresholds, model, draws)
+        self.assert_sweep_matches(thresholds, model, draws, nulls=np.arange(3, 200), shift=np.linspace(0.0, 2.0, 200))
+
+    def test_principal_factor_model_keeps_most_terms(self):
+        # a_i near 1.4 puts almost every argument above the cut-off.
+        model = build_factor_model(spectral_decompose(equal_correlation(150, 0.5)), 1)
+        draws = standard_factor_draws(1, 300, 3)
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls=np.arange(10, 150))
+
+    @pytest.mark.parametrize("n", [1, 257])
+    def test_one_row_and_a_chunk_boundary(self, n):
+        model = steep_model(p=150, capped=2)
+        draws = standard_factor_draws(model.k, n, 4)
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls=np.arange(2, 150), shift=np.full(150, 0.5))
+        # A one-element array is one threshold, with its sums in one row.
+        (row,), _ = numerator_over_draws(np.array([0.01]), model, draws)
+        np.testing.assert_array_equal(row, numerator_over_draws(0.01, model, draws)[0])
+
+    def test_no_factors(self):
+        p = 120
+        model = FactorModel(
+            p=p, k=0, loadings=np.zeros((p, 0)), a=np.ones(p), eigenvalues=np.ones(p), degenerate_rows=np.arange(0)
+        )
+        self.assert_sweep_matches(SOLVER_GRID, model, np.zeros((5, 0)), nulls=np.arange(4, p))
+
+    def test_fdp_limit_over_thresholds(self):
+        model = steep_model(p=200, capped=2)
+        draws = standard_factor_draws(model.k, 300, 6)
+        mu = np.zeros(model.p)
+        mu[:8] = 3.0
+        thresholds = (0.05, 0.001, 0.02)
+        limits = fdp_limit(np.asarray(thresholds), model, mu, np.arange(8, model.p), draws)
+        for t, row in zip(thresholds, limits):
+            np.testing.assert_array_equal(row, fdp_limit(t, model, mu, np.arange(8, model.p), draws))
+
+    @pytest.mark.parametrize("with_nulls", [False, True])
+    def test_cdf_sees_the_arguments_of_separate_calls(self, monkeypatch, with_nulls):
+        seen = []
+
+        def counting_cdf(x, out=None):
+            seen.append(np.size(x))
+            return norm_cdf(x, out=out)
+
+        monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
+        model = steep_model()
+        draws = standard_factor_draws(model.k, 600, 5)  # three chunks
+        nulls = np.setdiff1d(np.arange(model.p), [np.argmin(model.a)]) if with_nulls else None
+        numerator_over_draws(np.asarray(SOLVER_GRID), model, draws, nulls=nulls)
+        swept = list(seen)
+        seen.clear()
+        one_call_per_threshold(SOLVER_GRID, model, draws, nulls)
+        # Per threshold one scalar call for its cut-off, then per chunk one call for each side.
+        assert len(swept) == len(seen) == len(SOLVER_GRID) * (1 + 2 * 3)
+        assert sum(swept) == sum(seen)

@@ -7,6 +7,7 @@ from pfa.factors import build_factor_model, standard_factor_draws
 from pfa.fdr import (
     UnreachableAlphaError,
     approx_fdr,
+    approx_fdr_curve,
     bh_procedure,
     efron_estimate,
     solve_threshold,
@@ -79,16 +80,16 @@ class TestApproxFdr:
 _SOLVER_MODEL = model_with_k(200, 0.4, 1)
 
 
-def record_approx_fdr_calls(monkeypatch) -> list:
-    """The thresholds of every approx_fdr call that solve_threshold makes from now on."""
-    calls = []
+def record_threshold_batches(monkeypatch) -> list:
+    """The thresholds of every approx_fdr_curve call that solve_threshold makes from now on, one list per call."""
+    batches = []
 
-    def counting_approx_fdr(t, *args):
-        calls.append(t)
-        return approx_fdr(t, *args)
+    def recording_curve(thresholds, *args):
+        batches.append(list(thresholds))
+        return approx_fdr_curve(thresholds, *args)
 
-    monkeypatch.setattr("pfa.fdr.approx_fdr", counting_approx_fdr)
-    return calls
+    monkeypatch.setattr("pfa.fdr.approx_fdr_curve", recording_curve)
+    return batches
 
 
 class TestSolveThreshold:
@@ -124,22 +125,23 @@ class TestSolveThreshold:
     def test_curve_first_then_few_solver_calls(self, monkeypatch, model_args, p1, alpha):
         model = model_with_k(*model_args)
         draws = standard_factor_draws(model.k, 500, 3)
-        calls = record_approx_fdr_calls(monkeypatch)
+        batches = record_threshold_batches(monkeypatch)
         result = solve_threshold(alpha, model, p1, draws)
-        # Both ends, the 39 grid points below 0.5, then at most three steps.
-        assert calls[:2] == [0.5, 1e-12]
-        assert calls[2:41] == [t for t, _ in result.curve[:-1]]
-        assert len(calls) == result.evaluations <= 44
+        # One sweep for both ends, one for the 39 grid points below 0.5, then at most three steps.
+        assert batches[0] == [0.5, 1e-12]
+        assert batches[1] == [t for t, _ in result.curve[:-1]]
+        assert all(len(batch) == 1 for batch in batches[2:]) and len(batches) <= 5
+        assert sum(map(len, batches)) == result.evaluations <= 44
         assert result.converged and abs(result.fdr_at_t - alpha) <= 1e-4
         assert result.fdr_at_t == approx_fdr(result.t_star, model, p1, draws)
         assert [fdr for _, fdr in result.curve] == [approx_fdr(t, model, p1, draws) for t, _ in result.curve]
 
     @pytest.mark.parametrize("alpha, p1", [(0.9, 90), (1e-13, 1)])
     def test_unreachable_alpha_costs_two_calls(self, monkeypatch, alpha, p1):
-        calls = record_approx_fdr_calls(monkeypatch)
+        batches = record_threshold_batches(monkeypatch)
         with pytest.raises(UnreachableAlphaError):
             solve_threshold(alpha, model_with_k(100, 0.0, 0), p1, standard_factor_draws(0, 10, 0))
-        assert len(calls) == 2
+        assert batches == [[0.5, 1e-12]]
 
     @settings(max_examples=40, deadline=None)
     @given(

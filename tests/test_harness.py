@@ -277,6 +277,15 @@ class TestRunExperiment:
             assert output.records == default.records
             assert output.aggregates == default.aggregates
 
+    def test_per_t_aggregates_match_one_threshold_runs(self):
+        # The Monte-Carlo keys of every threshold come from one sweep of the shared draws.
+        config = small_config(t_grid=(0.01, 0.05, 0.002), with_estimators=False, control_alpha=None)
+        swept = run_experiment(config).aggregates["per_t"]
+        assert swept[repr(0.05)]["var_numerator_all"] > 0.0
+        for t in config.t_grid:
+            alone = run_experiment(dataclasses.replace(config, t_grid=(t,))).aggregates["per_t"]
+            assert swept[repr(t)] == alone[repr(t)]
+
     def test_record_cells_are_plain_python(self):
         # numpy scalars would be written with their numpy-2 repr, "np.float64(...)"
         output = run_experiment(small_config())
@@ -471,6 +480,14 @@ class TestRunConvergence:
         rights = [float(line.split(",")[1]) for line in text[1:]]
         assert lefts == edges[:-1].tolist()
         assert rights == edges[1:].tolist()
+
+
+    def test_limits_match_one_threshold_runs(self):
+        # Every threshold's limit values come from one sweep of the shared draws.
+        setup = dict(scenario=Scenario(kind="two_factor", p=40, n=30, p1=4), p_grid=(40,), n_reps=50, seed=4)
+        swept = run_convergence(t_grid=(0.1, 0.01, 0.05), **setup)["ks"]
+        for t in (0.1, 0.01, 0.05):
+            assert swept[repr(t)] == run_convergence(t_grid=(t,), **setup)["ks"][repr(t)]
 
 
 class TestFileReaders:
