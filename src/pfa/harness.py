@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,11 @@ RECORD_COLUMNS = (
     "fdp_storey_proc",
     "lad_converged",
 )
+
+_INT_COLUMNS = ("R", "V", "S", "lad_converged")
+# Columns a run leaves out (None) with estimators off, and with no control_alpha.
+_ESTIMATOR_COLUMNS = ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged")
+_PROCEDURE_COLUMNS = ("fdp_bh_proc", "fdp_storey_proc")
 
 # Per-threshold aggregates of the Monte-Carlo draws; the loader recomputes all others from the records.
 _MC_KEYS = ("approx_fdr", "var_numerator_all", "var_numerator_nulls")
@@ -171,13 +177,31 @@ class ScenarioState:
         return self.model.k
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentOutput:
-    """Per-replication records plus aggregate summaries."""
+    """Per-replication records plus aggregate summaries.
+
+    `columns` maps each record column after `rep` and `t` (in RECORD_COLUMNS order) to an
+    (n_reps, len(t_grid)) array, or to None where the run does not compute it.
+    """
 
     config: ExperimentConfig
-    records: list[dict]
+    columns: dict[str, np.ndarray | None]
     aggregates: dict
+
+    def _rows(self):
+        """Each record's cells in records.csv order: Python numbers, None where blank, a block at a time."""
+        n_reps, block = self.config.n_reps, 1024
+        for start in range(0, n_reps, block):
+            cells = [None if c is None else c[start : start + block].tolist() for c in self.columns.values()]
+            for i, rep in enumerate(range(start, min(start + block, n_reps))):
+                for j, t in enumerate(self.config.t_grid):
+                    yield [rep, t, *(None if c is None else c[i][j] for c in cells)]
+
+    @property
+    def records(self) -> list[dict]:
+        """One dict per replication and threshold, built from the columns on each access."""
+        return [dict(zip(RECORD_COLUMNS, row)) for row in self._rows()]
 
 
 def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> ScenarioState:
@@ -226,49 +250,35 @@ def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[Fa
     return lad_regress(model.loadings[calibration], z[calibration]), calibration.size
 
 
-def _replication_row(
-    config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray, counts: list[list[int]]
-) -> list[dict]:
-    """One record per threshold; `counts` holds the replication's V, S and R lists over t_grid."""
-    fit = pvalues = None
-    if config.with_estimators or config.control_alpha is not None:
-        pvalues = two_sided_pvalue(z)
+def _empty_columns(config: ExperimentConfig) -> dict:
+    """The record columns after rep and t, unfilled; None for those the config leaves out."""
+    skipped = () if config.with_estimators else _ESTIMATOR_COLUMNS
+    skipped += () if config.control_alpha is not None else _PROCEDURE_COLUMNS
+    shape = (config.n_reps, len(config.t_grid))
+    return {
+        name: None if name in skipped else np.empty(shape, np.int64 if name in _INT_COLUMNS else float)
+        for name in RECORD_COLUMNS[2:]
+    }
+
+
+def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, z: np.ndarray, columns: dict) -> None:
+    """Write replication rep's estimator and step-up cells into `columns`."""
+    pvalues = two_sided_pvalue(z)
+    if config.control_alpha is not None:
+        for name, rejections in (
+            ("fdp_bh_proc", bh_procedure(pvalues, config.control_alpha)),
+            ("fdp_storey_proc", storey_procedure(pvalues, config.control_alpha, config.storey_lambda)),
+        ):
+            v = np.count_nonzero(np.isin(rejections.indices, state.true_nulls))
+            columns[name][rep] = v / max(rejections.size, 1)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
-
-    procedures = {"fdp_bh_proc": None, "fdp_storey_proc": None}
-    if config.control_alpha is not None:
-        alpha = config.control_alpha
-        for name, rejections in (
-            ("fdp_bh_proc", bh_procedure(pvalues, alpha)),
-            ("fdp_storey_proc", storey_procedure(pvalues, alpha, config.storey_lambda)),
-        ):
-            v = int(np.count_nonzero(np.isin(rejections.indices, state.true_nulls)))
-            procedures[name] = v / max(rejections.size, 1)
-
-    rows = []
-    p0 = state.scenario.p - state.scenario.p1
-    for t, v, s, r in zip(config.t_grid, *counts):
-        row = {
-            "rep": rep,
-            "t": t,
-            "R": r,
-            "V": v,
-            "S": s,
-            "fdp_true": v / max(r, 1),
-            "fdp_pfa": None,
-            "fdp_efron": None,
-            "fdp_storey": None,
-            **procedures,
-            "lad_converged": None,
-        }
-        if config.with_estimators:
-            row["fdp_pfa"] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
-            row["fdp_efron"] = efron_estimate(z, t, p0, config.efron_x0)
-            row["fdp_storey"] = min(storey_estimate(pvalues, t, config.storey_lambda), 1.0)
-            row["lad_converged"] = int(fit.converged)
-        rows.append(row)
-    return rows
+        p0 = state.scenario.p - state.scenario.p1
+        for j, t in enumerate(config.t_grid):
+            columns["fdp_pfa"][rep, j] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
+            columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0, config.efron_x0)
+            columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t, config.storey_lambda), 1.0)
+        columns["lad_converged"][rep] = int(fit.converged)
 
 
 def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 256):
@@ -287,6 +297,11 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
         yield reps, statistics
 
 
+def _chunk_counts(t_grid: tuple[float, ...], state: ScenarioState, statistics: np.ndarray) -> np.ndarray:
+    """(3, reps, thresholds): V, S and R of each replication in a chunk, one batched count per t."""
+    return np.stack([realized_counts(statistics, state.true_nulls, t) for t in t_grid], axis=-1)
+
+
 def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.ndarray) -> list[dict]:
     """The `_MC_KEYS` at each t from one numerator sweep; for k = 0 exactly p t / (p t + p1), 0 and 0."""
     p1 = state.scenario.p1
@@ -299,62 +314,38 @@ def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.nd
     ]
 
 
-def _relative_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(truths)
-    nonzero = truths != 0.0
-    out[nonzero] = (estimates[nonzero] - truths[nonzero]) / truths[nonzero]
-    return out
-
-
-def _column(records: list[dict], t: float, name: str) -> np.ndarray | None:
-    values = [row[name] for row in records if row["t"] == t]
-    if any(value is None for value in values):
-        return None
-    return np.asarray(values, dtype=float)
-
-
-def _aggregate_per_t(records: list[dict], t: float) -> dict:
-    out: dict = {}
-    v = _column(records, t, "V")
-    r = _column(records, t, "R")
-    fdp_true = _column(records, t, "fdp_true")
-    out["mean_V"] = float(np.mean(v))
+def _aggregate_per_t(columns: dict, j: int) -> dict:
+    """Record-derived aggregates at the j-th threshold; each column's slice is cast to float first."""
+    at_t = {name: values[:, j].astype(float) for name, values in columns.items() if values is not None}
+    out = {f"mean_{name}": float(np.mean(x)) for name, x in at_t.items() if name not in ("S", "lad_converged")}
+    v, fdp_true = at_t["V"], at_t["fdp_true"]
     out["var_V"] = float(np.var(v, ddof=1)) if v.size > 1 else 0.0
-    out["mean_R"] = float(np.mean(r))
-    out["mean_fdp_true"] = float(np.mean(fdp_true))
     out["sd_fdp_true"] = float(np.std(fdp_true, ddof=1)) if fdp_true.size > 1 else 0.0
-    for name in ("fdp_pfa", "fdp_efron", "fdp_storey"):
-        estimates = _column(records, t, name)
-        if estimates is None:
-            continue
-        out[f"mean_{name}"] = float(np.mean(estimates))
-        if name != "fdp_storey":
+    for name in ("fdp_pfa", "fdp_efron"):
+        if name in at_t:
+            estimates, short = at_t[name], name.removeprefix("fdp_")
+            errors = np.divide(estimates - fdp_true, fdp_true, out=np.zeros_like(fdp_true), where=fdp_true != 0.0)
             out[f"sd_{name}"] = float(np.std(estimates, ddof=1)) if estimates.size > 1 else 0.0
-            errors = _relative_errors(estimates, fdp_true)
-            short = name.removeprefix("fdp_")
             out[f"mean_re_{short}"] = float(np.mean(errors))
             out[f"sd_re_{short}"] = float(np.std(errors, ddof=1)) if errors.size > 1 else 0.0
-    for name in ("fdp_bh_proc", "fdp_storey_proc"):
-        values = _column(records, t, name)
-        if values is not None:
-            out[f"mean_{name}"] = float(np.mean(values))
-    certified = _column(records, t, "lad_converged")
-    if certified is not None:
-        out["n_lad_uncertified"] = int(np.sum(certified == 0.0))
+    if "lad_converged" in at_t:
+        out["n_lad_uncertified"] = int(np.sum(at_t["lad_converged"] == 0.0))
     return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """Run all replications and aggregate; deterministic in (config, seed)."""
     state = prepare_scenario(config)
-    records: list[dict] = []
+    columns = _empty_columns(config)
     for reps, statistics in _draw_statistics(config, state):
-        # (reps, 3, thresholds): every replication's V, S and R, counted once per chunk.
-        counts = np.array([realized_counts(statistics, state.true_nulls, t) for t in config.t_grid]).T.tolist()
-        # Indexed, not iterated: a row view still bound after the loop would keep this chunk alive
-        # while the next one is counted, whose temporaries would then take fresh pages.
-        for i, rep in enumerate(reps):
-            records.extend(_replication_row(config, state, rep, statistics[i], counts[i]))
+        rows = slice(reps.start, reps.stop)
+        columns["V"][rows], columns["S"][rows], columns["R"][rows] = _chunk_counts(config.t_grid, state, statistics)
+        if config.with_estimators or config.control_alpha is not None:
+            # Indexed, not iterated: a row view still bound after the loop would keep this chunk alive
+            # while the next one is counted, whose temporaries would then take fresh pages.
+            for i, rep in enumerate(reps):
+                _fill_replication(config, state, rep, statistics[i], columns)
+    columns["fdp_true"] = columns["V"] / np.maximum(columns["R"], 1)
 
     aggregates: dict = {
         "version": __version__,
@@ -366,9 +357,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         "per_t": {},
     }
     draws = standard_factor_draws(state.k, config.n_mc, config.seed)
-    for t, mc in zip(config.t_grid, _mc_aggregates(config.t_grid, state, draws)):
-        aggregates["per_t"][_t_key(t)] = {**_aggregate_per_t(records, t), **mc}
-    return ExperimentOutput(config=config, records=records, aggregates=aggregates)
+    for j, (t, mc) in enumerate(zip(config.t_grid, _mc_aggregates(config.t_grid, state, draws))):
+        aggregates["per_t"][_t_key(t)] = {**_aggregate_per_t(columns, j), **mc}
+    return ExperimentOutput(config=config, columns=columns, aggregates=aggregates)
 
 
 def variance_study(
@@ -405,13 +396,6 @@ def _t_key(t: float) -> str:
     return repr(float(t))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    # float() strips numpy scalar types, whose numpy-2 repr is "np.float64(...)"
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, Path]:
     """Write records.csv and aggregates.json under out_dir."""
     out_dir = Path(out_dir)
@@ -420,8 +404,7 @@ def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, P
     with records_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RECORD_COLUMNS)
-        for row in output.records:
-            writer.writerow([_format_cell(row[name]) for name in RECORD_COLUMNS])
+        writer.writerows(output._rows())  # a float as its repr, None as an empty cell
     aggregates_path = out_dir / "aggregates.json"
     with aggregates_path.open("w") as handle:
         json.dump(output.aggregates, handle, indent=2, sort_keys=True)
@@ -429,12 +412,30 @@ def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, P
     return records_path, aggregates_path
 
 
-def _parse_cell(name: str, text: str):
-    if text == "":
-        return None
-    if name in ("rep", "R", "V", "S", "lad_converged"):
-        return int(text)
-    return float(text)
+def _read_records(path: Path, config: ExperimentConfig) -> dict:
+    """records.csv as run_experiment's columns; its rows must come in the order write_output writes."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header, rows = next(reader, None), list(reader)
+    if header != list(RECORD_COLUMNS):
+        raise ValueError(f"{path}:1: the header must be {','.join(RECORD_COLUMNS)}")
+    order = ([str(rep), _t_key(t)] for rep in range(config.n_reps) for t in config.t_grid)
+    for lineno, (row, want) in enumerate(zip_longest(rows, order, fillvalue=[]), start=2):
+        if row[:2] != want or len(row) != len(RECORD_COLUMNS):
+            expected = f"rep,t = {','.join(want)} and {len(RECORD_COLUMNS)} cells" if want else "no further record"
+            found = f"rep,t = {','.join(row[:2])} and {len(row)} cells" if row else "no cells"
+            raise ValueError(f"{path}:{lineno}: expected {expected}, found {found}")
+    columns = _empty_columns(config)
+    for (name, values), cells in zip(columns.items(), list(zip(*rows))[2:]):
+        if values is None:
+            if any(cells):
+                raise ValueError(f"{path}: column {name!r} holds values, but this run computes no such column")
+            continue
+        try:
+            columns[name] = np.array(cells, dtype=values.dtype).reshape(values.shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: column {name!r}: {exc}") from None
+    return columns
 
 
 def load_output(out_dir: str | Path) -> ExperimentOutput:
@@ -443,14 +444,10 @@ def load_output(out_dir: str | Path) -> ExperimentOutput:
     with (out_dir / "aggregates.json").open() as handle:
         aggregates = json.load(handle)
     config = ExperimentConfig.from_dict(aggregates["config"])
-    records: list[dict] = []
-    with (out_dir / "records.csv").open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            records.append({name: _parse_cell(name, row[name]) for name in RECORD_COLUMNS})
-    for t in config.t_grid:
+    columns = _read_records(out_dir / "records.csv", config)
+    for j, t in enumerate(config.t_grid):
         stored = aggregates["per_t"][_t_key(t)]
-        recomputed = _aggregate_per_t(records, t)
+        recomputed = _aggregate_per_t(columns, j)
         one_sided = sorted(set(stored).difference(_MC_KEYS) ^ set(recomputed))
         if one_sided:
             raise ValueError(f"aggregate key {one_sided[0]!r} present on only one side at t={t}")
@@ -462,7 +459,7 @@ def load_output(out_dir: str | Path) -> ExperimentOutput:
                     f"aggregate {key!r} at t={t} does not match its records: "
                     f"stored {expected!r}, recomputed {actual!r}"
                 )
-    return ExperimentOutput(config=config, records=records, aggregates=aggregates)
+    return ExperimentOutput(config=config, columns=columns, aggregates=aggregates)
 
 
 def run_estimate(
@@ -533,6 +530,7 @@ def run_convergence(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     edges = np.linspace(0.0, 1.0, _HISTOGRAM_BINS + 1)
+    lefts, rights = edges[:-1].tolist(), edges[1:].tolist()
     summary: dict = {
         "version": __version__,
         "scenario": scenario.to_dict(),
@@ -545,28 +543,26 @@ def run_convergence(
     }
     for p_index, (p, config) in enumerate(zip(p_grid, configs)):
         state = prepare_scenario(config, (p_index,))
-        empirical = {t: np.empty(n_reps) for t in t_grid}
+        empirical = np.empty((n_reps, len(t_grid)))
         for reps, statistics in _draw_statistics(config, state):
-            for t in t_grid:
-                v, _, r = realized_counts(statistics, state.true_nulls, t)
-                empirical[t][reps.start : reps.stop] = v / np.maximum(r, 1)
+            v, _, r = _chunk_counts(config.t_grid, state, statistics)
+            empirical[reps.start : reps.stop] = v / np.maximum(r, 1)
         draws = np.stack(
             [substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k) for rep in range(n_reps)]
         )
-        limit = dict(zip(t_grid, fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)))
+        limit = fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)
 
-        for t in t_grid:
-            distance = float(ks_2samp(empirical[t], limit[t]).statistic)
+        for j, t in enumerate(t_grid):
+            distance = float(ks_2samp(empirical[:, j], limit[j]).statistic)
             summary["ks"].setdefault(_t_key(t), {})[str(p)] = distance
             if out_dir is not None:
-                counts_emp, _ = np.histogram(empirical[t], bins=edges)
-                counts_lim, _ = np.histogram(limit[t], bins=edges)
+                counts_emp, _ = np.histogram(empirical[:, j], bins=edges)
+                counts_lim, _ = np.histogram(limit[j], bins=edges)
                 path = out_dir / f"convergence_p{p}_t{t:g}.csv"
                 with path.open("w", newline="") as handle:
                     writer = csv.writer(handle)
                     writer.writerow(["bin_left", "bin_right", "count_empirical", "count_limit"])
-                    for left, right, n_emp, n_lim in zip(edges[:-1], edges[1:], counts_emp, counts_lim):
-                        writer.writerow([_format_cell(left), _format_cell(right), int(n_emp), int(n_lim)])
+                    writer.writerows(zip(lefts, rights, counts_emp.tolist(), counts_lim.tolist()))
     if out_dir is not None:
         with (out_dir / "convergence_summary.json").open("w") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)

@@ -286,6 +286,36 @@ class TestRunExperiment:
             alone = run_experiment(dataclasses.replace(config, t_grid=(t,))).aggregates["per_t"]
             assert swept[repr(t)] == alone[repr(t)]
 
+    def test_columns_hold_one_array_per_record_column(self):
+        config = small_config(n_reps=1100, with_estimators=False)
+        output = run_experiment(config)
+        assert list(output.columns) == list(pfa.harness.RECORD_COLUMNS[2:])
+        for name, values in output.columns.items():
+            if name in ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged"):
+                assert values is None
+            else:
+                assert values.shape == (1100, 2)
+        np.testing.assert_array_equal(output.columns["R"], output.columns["V"] + output.columns["S"])
+        # records is a view built on request, across the 1024-replication blocks it is converted in
+        records = output.records
+        assert [(row["rep"], row["t"]) for row in records] == [(rep, t) for rep in range(1100) for t in (0.01, 0.05)]
+        assert [row["V"] for row in records] == output.columns["V"].ravel().tolist()
+        assert [row["fdp_bh_proc"] for row in records] == output.columns["fdp_bh_proc"].ravel().tolist()
+
+    def test_peak_memory_is_the_columns_not_one_object_per_record(self):
+        # 20,000 replications at two thresholds: one dict per record would take tens of MB.
+        scenario = Scenario(kind="two_factor", p=40, n=40, p1=4)
+        config = small_config(scenario=scenario, n_reps=20_000, n_mc=200, with_estimators=False, control_alpha=None)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = 4 * config.n_reps * len(config.t_grid) * 8  # R, V, S and fdp_true
+        chunk = 256 * (scenario.n + scenario.p) * 8  # one chunk's normals and statistics
+        assert peak < 3 * (columns + chunk)
+
     def test_record_cells_are_plain_python(self):
         # numpy scalars would be written with their numpy-2 repr, "np.float64(...)"
         output = run_experiment(small_config())
@@ -390,6 +420,101 @@ class TestOutputFiles:
             data["per_t"][repr(0.01)][name] += 0.5
         path.write_text(json.dumps(data))
         assert load_output(tmp_path).aggregates == data
+
+
+def drop_line(lines, lineno):
+    return lines[: lineno - 1] + lines[lineno:]
+
+
+def swap_lines(lines, first, second):
+    lines = list(lines)
+    lines[first - 1], lines[second - 1] = lines[second - 1], lines[first - 1]
+    return lines
+
+
+def set_cell(lines, lineno, column, text):
+    cells = lines[lineno - 1].split(",")
+    cells[pfa.harness.RECORD_COLUMNS.index(column)] = text
+    return lines[: lineno - 1] + [",".join(cells)] + lines[lineno:]
+
+
+class TestLoaderRecordOrder:
+    # small_config writes 8 replications at t = 0.01 and 0.05: line 2 holds rep 0 at t = 0.01,
+    # line 3 rep 0 at t = 0.05, line 4 rep 1 at t = 0.01, and line 17 rep 7 at t = 0.05.
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            pytest.param(
+                lambda lines: drop_line(lines, 5),
+                r"records\.csv:5: expected rep,t = 1,0\.05 .* found rep,t = 2,0\.01",
+                id="dropped",
+            ),
+            pytest.param(
+                lambda lines: drop_line(lines, 17),
+                r"records\.csv:17: expected rep,t = 7,0\.05 and 12 cells, found no cells",
+                id="dropped-last",
+            ),
+            pytest.param(
+                lambda lines: swap_lines(lines, 4, 6),
+                r"records\.csv:4: expected rep,t = 1,0\.01 .* found rep,t = 2,0\.01",
+                id="swapped",
+            ),
+            pytest.param(
+                lambda lines: lines + [lines[-1]],
+                r"records\.csv:18: expected no further record, found rep,t = 7,0\.05",
+                id="extra",
+            ),
+            pytest.param(
+                lambda lines: set_cell(lines, 4, "t", "0.05"),
+                r"records\.csv:4: expected rep,t = 1,0\.01 .* found rep,t = 1,0\.05",
+                id="wrong-threshold",
+            ),
+            pytest.param(
+                lambda lines: lines[:5] + [lines[5] + ",0"] + lines[6:],
+                r"records\.csv:6: .* found rep,t = 2,0\.01 and 13 cells",
+                id="extra-cell",
+            ),
+            pytest.param(
+                lambda lines: set_cell(lines, 6, "fdp_pfa", ""),
+                r"records\.csv: column 'fdp_pfa': could not convert",
+                id="partly-blank",
+            ),
+            pytest.param(
+                lambda lines: set_cell(lines, 6, "V", "1.5"),
+                r"records\.csv: column 'V': invalid literal",
+                id="non-integer",
+            ),
+            pytest.param(
+                lambda lines: ["rep,t,V,R" + lines[0][9:]] + lines[1:],
+                r"records\.csv:1: the header must be",
+                id="header",
+            ),
+        ],
+    )
+    def test_rejects_records_out_of_write_order(self, tmp_path, tamper, message):
+        write_output(run_experiment(small_config()), tmp_path)
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(tamper(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_output(tmp_path)
+
+    def test_rejects_values_in_a_column_the_run_leaves_blank(self, tmp_path):
+        write_output(run_experiment(small_config(with_estimators=False)), tmp_path)
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(set_cell(path.read_text().splitlines(), 3, "fdp_pfa", "0.5")) + "\n")
+        with pytest.raises(ValueError, match=r"records\.csv: column 'fdp_pfa' holds values, but this run computes no"):
+            load_output(tmp_path)
+
+    def test_round_trip_across_conversion_blocks(self, tmp_path):
+        output = run_experiment(small_config(n_reps=1030, with_estimators=False, control_alpha=None))
+        write_output(output, tmp_path)
+        loaded = load_output(tmp_path)
+        for name, values in output.columns.items():
+            if values is None:
+                assert loaded.columns[name] is None
+            else:
+                assert loaded.columns[name].dtype == values.dtype
+                np.testing.assert_array_equal(loaded.columns[name], values)
 
 
 class TestRunEstimate:
