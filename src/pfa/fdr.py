@@ -18,10 +18,8 @@ uses instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .factors import FactorModel, numerator_over_draws
 from .gauss import norm_pdf, norm_quantile, two_sided_pvalue
@@ -256,28 +254,6 @@ def storey_estimate(pvalues: np.ndarray, t: float, lambda_param: float = 0.5) ->
     return float(_null_count(pvalues, lambda_param) * t / max(n_rejected, 1))
 
 
-@lru_cache(maxsize=None)
-def _central_band_constants(x0: float) -> tuple[float, float]:
-    """Variance and inflation sensitivity of a normal restricted to [-x0, x0].
-
-    Returns (v0, r0): v0 is the variance of a standard normal truncated to
-    the band, and r0 the derivative of log(truncated variance) with respect
-    to a small inflation of the underlying variance, both by quadrature.
-    """
-
-    def band_variance(total_var: float) -> float:
-        sd = np.sqrt(total_var)
-        density = lambda x: norm_pdf(x / sd) / sd
-        mass, _ = quad(density, -x0, x0)
-        second, _ = quad(lambda x: x * x * density(x), -x0, x0)
-        return second / mass
-
-    v0 = band_variance(1.0)
-    eps = 1e-4
-    slope = (band_variance(1.0 + eps) - band_variance(1.0 - eps)) / (2.0 * eps)
-    return v0, slope / v0
-
-
 def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
     """Dispersion-variate FDP estimate, clipped to [0, 1].
 
@@ -287,8 +263,12 @@ def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
     here by moment matching: the mean square of the statistics inside
     [-x0, x0] is compared with the value it would take under a unit normal,
     and the discrepancy is converted to A through the band's inflation
-    sensitivity. This recipe is a documented stand-in, not a reproduction
-    of Efron's own estimator for A.
+    sensitivity. With h = x0*phi(x0) / (2*Phi(x0) - 1), both band constants
+    are closed forms: v0 = 1 - 2h, the variance of N(0, 1) restricted to the
+    band, and slope = v0 + h*(1 - x0^2) - 2h^2, the derivative of
+    E[X^2 | |X| <= x0] with respect to Var X at 1; then
+    A = (mean square - v0) / (sqrt(2)*slope). This recipe is a documented
+    stand-in, not a reproduction of Efron's own estimator for A.
     """
     if x0 <= 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
@@ -300,8 +280,10 @@ def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
     if central.size == 0:
         a_hat = 0.0
     else:
-        v0, r0 = _central_band_constants(float(x0))
-        a_hat = (float(np.mean(np.square(central))) - v0) / (np.sqrt(2.0) * v0 * r0)
+        h = x0 * norm_pdf(x0) / (1.0 - two_sided_pvalue(x0))
+        v0 = 1.0 - 2.0 * h
+        slope = v0 + h * (1.0 - x0 * x0) - 2.0 * h * h
+        a_hat = (float(np.mean(np.square(central))) - v0) / (np.sqrt(2.0) * slope)
     z_half = norm_quantile(0.5 * t)
     est_false = p0 * t * (1.0 + 2.0 * a_hat * (-z_half) * norm_pdf(z_half) / (np.sqrt(2.0) * t))
     return float(np.clip(est_false / n_rejected, 0.0, 1.0))

@@ -3,9 +3,11 @@
 One experiment fixes a scenario: a single design draw determines the known
 correlation matrix, the factor model, and the mean shifts; replications
 then draw fresh test statistics from N(mu, Sigma) and evaluate the realized
-counts and the estimators. Every random stream is a spawn of the master
-seed keyed by purpose (design, replication index, Monte-Carlo draws), so
-output is bit-identical for a given config and seed.
+counts and the estimators. The design and each replication draw from a
+substream of the master seed keyed by purpose and index (`substream`); the
+Monte-Carlo factor draws come from `standard_factor_draws`, which seeds its
+generator with the master seed itself. So output is bit-identical for a
+given config and seed.
 
 The p x p sample correlation Sigma = X'X / (n-1) of the standardized n x p
 design X has rank below n, and no harness path forms it: its spectrum comes
@@ -113,11 +115,8 @@ class ExperimentConfig:
     n_mc: int = 10000
     epsilon: float = 0.01
     calibration_fraction: float = 0.75
-    placement: str = "first"
     with_estimators: bool = True
     control_alpha: float | None = None
-    efron_x0: float = 1.0
-    storey_lambda: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid", tuple(real("t_grid entry", t) for t in self.t_grid))
@@ -127,7 +126,7 @@ class ExperimentConfig:
             raise ValueError(f"every threshold must lie in (0, 1), got {self.t_grid}")
         _check_distinct("t_grid", self.t_grid)
         check_ints(self, "n_reps", "seed", "n_mc")
-        check_reals(self, "epsilon", "calibration_fraction", "control_alpha", "efron_x0", "storey_lambda")
+        check_reals(self, "epsilon", "calibration_fraction", "control_alpha")
         if not isinstance(self.with_estimators, (bool, np.bool_)):
             raise TypeError(f"with_estimators must be a boolean, got {self.with_estimators!r}")
         object.__setattr__(self, "with_estimators", bool(self.with_estimators))
@@ -135,15 +134,11 @@ class ExperimentConfig:
             raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         if self.seed < 0:
             raise ValueError(f"seed must not be negative, got {self.seed}")
-        if self.placement not in ("first", "random"):
-            raise ValueError(f"placement must be 'first' or 'random', got {self.placement!r}")
         if self.n_mc < 2:
             raise ValueError(f"n_mc must be at least 2, got {self.n_mc}")
         if not 0.0 < self.calibration_fraction <= 1.0:
             raise ValueError(f"calibration_fraction must lie in (0, 1], got {self.calibration_fraction}")
-        if not self.efron_x0 > 0.0:
-            raise ValueError(f"efron_x0 must be positive, got {self.efron_x0}")
-        for name in ("epsilon", "control_alpha", "storey_lambda"):
+        for name in ("epsilon", "control_alpha"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -205,27 +200,21 @@ class ExperimentOutput:
 
 
 def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> ScenarioState:
-    """Draw the design, build the factor model, place the false nulls.
+    """Draw the design, build the factor model, shift the false nulls, the first p1 indices.
 
     `key` prefixes the design and replication substreams, which sets them
     apart from those of other scenarios built under the same seed
     (run_convergence keys one per dimension).
     """
-    rng = substream(config.seed, _NS_DESIGN, *key)
-    standardized, sds = standardize(generate_design(config.scenario, rng))
+    standardized, sds = standardize(generate_design(config.scenario, substream(config.seed, _NS_DESIGN, *key)))
     x = standardized / np.sqrt(config.scenario.n - 1)
     system = gram_spectrum(x)
     k = select_num_factors(system, config.epsilon)
     model = build_factor_model(system, k)
     p, p1 = config.scenario.p, config.scenario.p1
-    if config.placement == "random":
-        false_nulls = np.sort(rng.choice(p, size=p1, replace=False)).astype(np.intp)
-    else:
-        false_nulls = np.arange(p1, dtype=np.intp)
+    false_nulls = np.arange(p1, dtype=np.intp)
     mu = np.zeros(p)
     mu[false_nulls] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[false_nulls] / config.scenario.sigma
-    mask = np.ones(p, dtype=bool)
-    mask[false_nulls] = False
     return ScenarioState(
         scenario=config.scenario,
         key=tuple(key),
@@ -234,7 +223,7 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
         model=model,
         tail_energy=system.tail_energy(k),
         mu=mu,
-        true_nulls=np.flatnonzero(mask),
+        true_nulls=np.arange(p1, p, dtype=np.intp),
         false_nulls=false_nulls,
     )
 
@@ -267,7 +256,7 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
     if config.control_alpha is not None:
         for name, rejections in (
             ("fdp_bh_proc", bh_procedure(pvalues, config.control_alpha)),
-            ("fdp_storey_proc", storey_procedure(pvalues, config.control_alpha, config.storey_lambda)),
+            ("fdp_storey_proc", storey_procedure(pvalues, config.control_alpha)),
         ):
             v = np.count_nonzero(np.isin(rejections.indices, state.true_nulls))
             columns[name][rep] = v / max(rejections.size, 1)
@@ -276,8 +265,8 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
         p0 = state.scenario.p - state.scenario.p1
         for j, t in enumerate(config.t_grid):
             columns["fdp_pfa"][rep, j] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
-            columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0, config.efron_x0)
-            columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t, config.storey_lambda), 1.0)
+            columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0)
+            columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t), 1.0)
         columns["lad_converged"][rep] = int(fit.converged)
 
 
@@ -285,14 +274,17 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
     """(reps, statistics) chunks of the N(mu, x'x) draws of every replication.
 
     Each replication takes its n standard normals g from its own substream
-    and draws mu + g @ x.
+    and draws mu + g @ x. A chunk of one replication is multiplied as one of
+    two rows: numpy would give a lone row to its matrix-vector product, which
+    rounds differently from the rows of a matrix product.
     """
     for start in range(0, config.n_reps, chunk_size):
         reps = range(start, min(start + chunk_size, config.n_reps))
         noise = np.stack(
             [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.n) for rep in reps]
         )
-        statistics = noise @ state.x
+        statistics = (noise if len(reps) > 1 else np.vstack([noise, noise])) @ state.x
+        statistics = statistics[: len(reps)]
         statistics += state.mu
         yield reps, statistics
 
@@ -520,10 +512,12 @@ def run_convergence(
 ) -> dict:
     """Empirical FDP distribution versus its factor-driven limit, per p.
 
-    For each dimension the same replication seeds drive both sides: the
-    statistics draw behind the empirical FDP and the factor draw behind the
-    limit value. Emits one histogram CSV per (p, t) (50 bins on [0, 1]) plus
-    a summary with two-sample Kolmogorov-Smirnov distances.
+    For each dimension, replication i draws the statistics behind its
+    empirical FDP from the `_NS_REPLICATION` substream and the factors
+    behind its limit value from the `_NS_LIMIT` substream, both keyed by
+    the dimension's index and i. Emits one histogram CSV per (p, t) (50
+    bins on [0, 1]) plus a summary with two-sample Kolmogorov-Smirnov
+    distances.
     """
     configs = convergence_configs(scenario, p_grid, t_grid, n_reps, seed, epsilon)
     if out_dir is not None:

@@ -112,14 +112,9 @@ class EigenSystem:
         return self.vectors.shape[0]
 
     def tail_energy(self, k: int) -> float:
-        """Frobenius norm of the spectrum beyond the first k eigenvalues.
-
-        A whole spectrum sums its own tail; a partial one reads `tail_sq`.
-        """
+        """Frobenius norm of the spectrum beyond the first k eigenvalues, the number `within` compares."""
         if k < 0 or k >= self.tail_sq.shape[0]:
             raise IndexError(f"k={k} outside [0, {self.tail_sq.shape[0] - 1}]")
-        if self.values.shape[0] == self.dim:
-            return float(np.sqrt(np.sum(np.square(self.values[k:]))))
         return float(np.sqrt(self.tail_sq[k]))
 
     def within(self, epsilon: float) -> np.ndarray:

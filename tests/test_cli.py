@@ -256,7 +256,6 @@ class TestSimulateCommand:
             (["--mc", "1"], None),
             (["--alpha", "1.5"], None),
             (["--fraction", "1.5"], None),
-            ([], ("storey_lambda", 1.0)),
         ],
     )
     def test_out_of_range_settings_are_input_errors(self, tmp_path, capsys, flags, config_key):
@@ -312,6 +311,9 @@ class TestConfigKeys:
         "change, message",
         [
             ({"n_rep": 5}, "unknown config key 'n_rep'"),
+            ({"placement": "first"}, "unknown config key 'placement'"),
+            ({"efron_x0": 1.0}, "unknown config key 'efron_x0'"),
+            ({"storey_lambda": 0.5}, "unknown config key 'storey_lambda'"),
             ({"scenario": {"p": 60, "n": 40}}, "scenario is missing required key 'kind'"),
             ({"scenario": {"kind": "two_factor", "p": 60, "rh0": 0.2}}, "unknown scenario key 'rh0'"),
             ({"n_reps": "5"}, "n_reps must be an integer, got '5'"),
@@ -323,11 +325,8 @@ class TestConfigKeys:
             ({"scenario": {"kind": "two_factor", "p": 60.5, "n": 40, "p1": 4}}, "p must be an integer, got 60.5"),
             ({"t_grid": [0.02, 0.01, 0.02]}, "t_grid repeats 0.02"),
             ({"epsilon": "0.01"}, "epsilon must be a finite real number, got '0.01'"),
-            ({"efron_x0": "1"}, "efron_x0 must be a finite real number, got '1'"),
             ({"epsilon": 5}, "epsilon must lie in (0, 1), got 5.0"),
             ({"t_grid": ["0.02"]}, "t_grid entry must be a finite real number, got '0.02'"),
-            ({"storey_lambda": True}, "storey_lambda must be a finite real number, got True"),
-            ({"efron_x0": 0}, "efron_x0 must be positive, got 0.0"),
             ({"control_alpha": "0.1"}, "control_alpha must be a finite real number, got '0.1'"),
             ({"scenario": {"kind": "two_factor", "p": 60, "beta": "1"}}, "beta must be a finite real number, got '1'"),
             ({"with_estimators": "false"}, "with_estimators must be a boolean, got 'false'"),

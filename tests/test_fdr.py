@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtri
 
 from pfa.factors import build_factor_model, standard_factor_draws
 from pfa.fdr import (
@@ -14,7 +16,7 @@ from pfa.fdr import (
     storey_estimate,
     storey_procedure,
 )
-from pfa.gauss import two_sided_pvalue
+from pfa.gauss import norm_pdf, norm_quantile, two_sided_pvalue
 from pfa.linalg import equal_correlation, spectral_decompose
 
 
@@ -47,6 +49,25 @@ def storey_exhaustive_oracle(pvalues, alpha, lambda_param):
     if cutoff is None:
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(pvalues <= cutoff)
+
+
+def efron_quadrature_oracle(z, t, p0, x0):
+    """Dispersion-variate estimate with the band constants by quadrature and a central difference."""
+
+    def band_variance(total_var):
+        sd = np.sqrt(total_var)
+        density = lambda x: norm_pdf(x / sd) / sd
+        mass, _ = quad(density, -x0, x0)
+        second, _ = quad(lambda x: x * x * density(x), -x0, x0)
+        return second / mass
+
+    n_rejected = np.count_nonzero(two_sided_pvalue(z) <= t)
+    v0, eps = band_variance(1.0), 1e-4
+    slope = (band_variance(1.0 + eps) - band_variance(1.0 - eps)) / (2.0 * eps)
+    a_hat = (np.mean(np.square(z[np.abs(z) <= x0])) - v0) / (np.sqrt(2.0) * slope)
+    z_half = norm_quantile(0.5 * t)
+    est_false = p0 * t * (1.0 + 2.0 * a_hat * (-z_half) * norm_pdf(z_half) / (np.sqrt(2.0) * t))
+    return float(np.clip(est_false / n_rejected, 0.0, 1.0))
 
 
 class TestApproxFdr:
@@ -320,6 +341,18 @@ class TestEfronEstimate:
         wide[:20] = 9.0
         t = 0.001
         assert efron_estimate(wide, t, p0=3980) > efron_estimate(narrow, t, p0=3980)
+
+    @pytest.mark.parametrize("x0", [0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_matches_the_quadrature_oracle(self, x0):
+        # 1960 null quantiles of N(0, spread^2) and 40 signals; the narrow bands clip some cases to 0 or 1
+        inside = 0
+        for spread in (0.98, 1.0, 1.02):
+            z = np.concatenate([spread * ndtri((np.arange(1960) + 0.5) / 1960), np.full(40, 5.0)])
+            for t in (0.001, 0.01, 0.05):
+                expected = efron_quadrature_oracle(z, t, 1960, x0)
+                inside += 0.0 < expected < 1.0
+                assert efron_estimate(z, t, 1960, x0) == pytest.approx(expected, rel=1e-6)
+        assert inside >= 2
 
     def test_x0_domain(self):
         with pytest.raises(ValueError):

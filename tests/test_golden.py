@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "cc9a3c8ed8e6e18d66b7c5ceb6e5265a509a80524bf0284dd84d6a1f8df39fdf",
-        "estimate.json": "115658070b8a62b0810fa081c70ab7f6a3b23e4915b11d26e95f6e292b8a90cf",
+        "control.json": "b62ca6ebcc099306a12ae1b88601b11c5134355918ee222b8fbefacb0060de59",
+        "estimate.json": "fa6bb748cdd7830164027169461e6e104679d715a34a9afd0e59d4ce95e7aaae",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "1380205094139d6566a87835c1f7d7db523ee92e3c27f667e7a50d9ebc9ffe92",
         "convergence_p40_t0.1.csv": "dde561b813a9da53421314793304eacb6023dedcc8c13064a8cd4ab51de44dc2",
         "convergence_p60_t0.05.csv": "36bc7ab486d050dae8adc8034891053caa1cef910776d63d78b625889c343dc1",
         "convergence_p60_t0.1.csv": "4be2653aedb93af059dd648df86092c9c52efae1e3c3df8e04fe3b8dd9371baa",
-        "convergence_summary.json": "ddf0330a151d44ae00ac06e70b95b5087f05d735398013ec15cbd841a23998d9",
+        "convergence_summary.json": "a396889100be056b1153125722486dd465a8ca0a1ceb59393cebaf78deb05298",
     },
     "experiment": {
-        "aggregates.json": "e904fda63b9cd329d0fda4147b70f1582015cda698dbe4f51a49b9fe344d740e",
-        "records.csv": "a1ffe1c1827e557155b2f931cfdcb95e3158ecf8a59299ee4d7615d48db0afd7",
+        "aggregates.json": "7762707a13d82c9cddd9b0c464a50f63ccf1ab3a367d4c969747378b21af0bef",
+        "records.csv": "fdefb4edaab58be9a0648250f10b2ddb05270178956460ab09afc5bdfe851691",
     },
-    "experiment_random_no_estimators": {
-        "aggregates.json": "34bfcf16315a6760f160e607d330b7f70267f052055d6bd6fbb5d5d242f9dfc0",
-        "records.csv": "95a0f7dcda4295d5575866c55e70658d6e9d11c2a0195d94b88a8524a5983eac",
+    "experiment_no_estimators": {
+        "aggregates.json": "fe9f192d7d3427215726933801cc440af0e4078667851286d099bb236506308b",
+        "records.csv": "0974399a73072ea5bd102f68b4a329a71c87a09af60a5dbf0dbcc332a6e96b13",
     },
     "variance_study": {
-        "variance.json": "b1d14f82c4bd62580a819dd3f7013ba575d325b93dca350c3a92f915bb7c3746",
+        "variance.json": "e8f79f2fe09f6bb768e77f506a30e3f2009fb17edda5016a299f190da04c5eb5",
     },
 }
 
@@ -108,9 +108,7 @@ def _cli(out_dir):
 
 CASES = {
     "experiment": lambda out_dir: _experiment(out_dir),
-    "experiment_random_no_estimators": lambda out_dir: _experiment(
-        out_dir, placement="random", with_estimators=False
-    ),
+    "experiment_no_estimators": lambda out_dir: _experiment(out_dir, with_estimators=False),
     "variance_study": _variance_study,
     "convergence": _convergence,
     "cli_estimate_control": _cli,
