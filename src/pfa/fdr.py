@@ -130,15 +130,12 @@ def solve_threshold(
 ) -> ControlResult:
     """The threshold whose approximate FDR lies within tol of alpha.
 
-    `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 1, used
-    at every trial threshold, so the curve is monotone in t. The ends of
-    [1e-12, 0.5] are evaluated first, in one sweep of the draws: when alpha
-    lies outside the curve's range there, UnreachableAlphaError (with the
-    boundary value) is raised after these two thresholds. Then the curve is
-    evaluated on its 40-point grid in a second sweep, and Illinois steps
-    (regula falsi on the logit of the FDR against log t) run only inside the
-    bracket of known points that holds alpha, starting from their values,
-    until |FDR - alpha| <= tol. The point closest to alpha is returned.
+    `draws` is an (n, k) matrix from `standard_factor_draws`, n >= 1, used at every trial threshold,
+    so the curve is monotone in t. One sweep of the draws evaluates the 40-point curve and the lower
+    end 1e-12; if alpha lies outside the curve's range on [1e-12, 0.5], UnreachableAlphaError (with
+    the boundary value) is raised. Otherwise Illinois steps (regula falsi on the logit of the FDR
+    against log t), one `approx_fdr` call each, run inside the bracket of known points that holds
+    alpha until |FDR - alpha| <= tol, and the point nearest alpha is returned.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -147,20 +144,13 @@ def solve_threshold(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    evaluations = 0
-
-    def curve(thresholds: tuple[float, ...]) -> list[float]:
-        nonlocal evaluations
-        evaluations += len(thresholds)
-        return approx_fdr_curve(thresholds, model, p1, draws)
-
-    fdr_high, fdr_low = curve((_T_HIGH, _T_LOW))
-    if fdr_high < alpha:
-        raise UnreachableAlphaError(alpha, _T_HIGH, fdr_high, side="high")
+    *values, fdr_low = approx_fdr_curve((*_CURVE_GRID, _T_LOW), model, p1, draws)
+    evaluations = len(_CURVE_GRID) + 1
+    if values[-1] < alpha:
+        raise UnreachableAlphaError(alpha, _T_HIGH, values[-1], side="high")
     if fdr_low > alpha:
         raise UnreachableAlphaError(alpha, _T_LOW, fdr_low, side="low")
 
-    values = curve(_CURVE_GRID[:-1]) + [fdr_high]
     points = [(_T_LOW, fdr_low), *zip(_CURVE_GRID, values)]
     # The first point at or above alpha and the one before it bracket alpha.
     upper = next(i for i, (_, fdr) in enumerate(points) if fdr >= alpha)
@@ -181,7 +171,8 @@ def solve_threshold(
             if not x_low < x < x_high:
                 break  # the bracket is down to adjacent floats
         t = float(np.exp(x))
-        (fdr,) = curve((t,))
+        fdr = approx_fdr(t, model, p1, draws)
+        evaluations += 1
         if abs(fdr - alpha) < abs(best[1] - alpha):
             best = (t, fdr)
         # Illinois: halve the value kept at the end that stays a second time.

@@ -160,7 +160,6 @@ class ScenarioState:
     scenario: Scenario
     key: tuple[int, ...]
     x: np.ndarray  # standardized n x p design over sqrt(n-1): x'x is sigma_hat
-    sds: np.ndarray
     model: FactorModel
     tail_energy: float  # Frobenius norm of sigma_hat's spectrum beyond the first k
     mu: np.ndarray
@@ -219,7 +218,6 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
         scenario=config.scenario,
         key=tuple(key),
         x=x,
-        sds=sds,
         model=model,
         tail_energy=system.tail_energy(k),
         mu=mu,

@@ -148,21 +148,52 @@ class TestSolveThreshold:
         draws = standard_factor_draws(model.k, 500, 3)
         batches = record_threshold_batches(monkeypatch)
         result = solve_threshold(alpha, model, p1, draws)
-        # One sweep for both ends, one for the 39 grid points below 0.5, then at most three steps.
-        assert batches[0] == [0.5, 1e-12]
-        assert batches[1] == [t for t, _ in result.curve[:-1]]
-        assert all(len(batch) == 1 for batch in batches[2:]) and len(batches) <= 5
+        # One sweep for the curve and the lower end, then at most three one-threshold steps.
+        assert batches[0] == [*(t for t, _ in result.curve), 1e-12]
+        assert all(len(batch) == 1 for batch in batches[1:]) and len(batches) <= 4
         assert sum(map(len, batches)) == result.evaluations <= 44
         assert result.converged and abs(result.fdr_at_t - alpha) <= 1e-4
         assert result.fdr_at_t == approx_fdr(result.t_star, model, p1, draws)
         assert [fdr for _, fdr in result.curve] == [approx_fdr(t, model, p1, draws) for t, _ in result.curve]
 
+    @pytest.mark.parametrize("alpha", [0.02, 0.15, 0.6])
+    def test_illinois_steps_call_approx_fdr(self, monkeypatch, alpha):
+        steps = []
+
+        def recording_fdr(t, *args):
+            steps.append(t)
+            return approx_fdr(t, *args)
+
+        monkeypatch.setattr("pfa.fdr.approx_fdr", recording_fdr)
+        result = solve_threshold(alpha, _SOLVER_MODEL, 10, standard_factor_draws(1, 300, 8), tol=1e-6)
+        assert len(steps) == result.evaluations - 41 > 0
+        assert steps[-1] == result.t_star
+
     @pytest.mark.parametrize("alpha, p1", [(0.9, 90), (1e-13, 1)])
-    def test_unreachable_alpha_costs_two_calls(self, monkeypatch, alpha, p1):
+    def test_unreachable_alpha_costs_one_sweep(self, monkeypatch, alpha, p1):
         batches = record_threshold_batches(monkeypatch)
         with pytest.raises(UnreachableAlphaError):
             solve_threshold(alpha, model_with_k(100, 0.0, 0), p1, standard_factor_draws(0, 10, 0))
-        assert batches == [[0.5, 1e-12]]
+        grid = [*np.logspace(-10, np.log10(0.5), 40)[:-1].tolist(), 0.5]
+        assert batches == [[*grid, 1e-12]]
+
+    @pytest.mark.parametrize("alpha", [1e-303, 1e-302])
+    def test_zero_fdr_tail_falls_back_to_bisection(self, monkeypatch, alpha):
+        # Every a_i is about 10, so the FDR is exactly 0 up to t of about 1e-9: the bracket's lower
+        # logit is -inf, which puts the regula-falsi point on the bracket's end, and the step bisects.
+        model = model_with_k(200, 0.99, 1)
+        draws = standard_factor_draws(1, 20, 0)
+        batches = record_threshold_batches(monkeypatch)
+        result = solve_threshold(alpha, model, 10, draws, tol=alpha * 1e-3)
+        steps = [batch[0] for batch in batches if len(batch) == 1]
+        (t_low, fdr_low), (t_high, _) = next(
+            pair for pair in zip(result.curve, result.curve[1:]) if pair[0][1] < alpha <= pair[1][1]
+        )
+        assert fdr_low == 0.0
+        assert steps[0] == float(np.exp(0.5 * (np.log(t_low) + np.log(t_high))))
+        assert t_low < result.t_star < t_high
+        assert result.converged and abs(result.fdr_at_t - alpha) <= alpha * 1e-3
+        assert result.evaluations == 44
 
     @settings(max_examples=40, deadline=None)
     @given(

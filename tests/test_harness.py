@@ -24,7 +24,7 @@ from pfa.harness import (
 )
 from pfa.lad import lad_regress
 from pfa.linalg import CorrelationMatrix, equal_correlation, spectral_decompose
-from pfa.simulate import SCENARIO_KINDS, Scenario, generate_design, sample_correlation
+from pfa.simulate import SCENARIO_KINDS, Scenario, generate_design, sample_correlation, standardize
 
 
 def small_config(**overrides):
@@ -130,8 +130,10 @@ class TestPrepareScenario:
 
     def test_mean_shift_formula(self):
         scenario = Scenario(kind="equal_correlation", p=60, n=100, p1=5, beta=1.0, sigma=2.0)
-        state = prepare_scenario(small_config(scenario=scenario))
-        np.testing.assert_allclose(state.mu[:5], np.sqrt(100) * state.sds[:5] / 2.0)
+        config = small_config(scenario=scenario)
+        state = prepare_scenario(config)
+        _, sds = standardize(generate_design(config.scenario, substream(config.seed, _NS_DESIGN)))
+        np.testing.assert_allclose(state.mu[:5], np.sqrt(100) * sds[:5] / 2.0)
         np.testing.assert_array_equal(state.false_nulls, np.arange(5))
         np.testing.assert_array_equal(state.true_nulls, np.arange(5, 60))
         assert np.all(state.mu[5:] == 0.0)
@@ -158,7 +160,8 @@ class TestPrepareScenario:
             state.model.loadings @ state.model.loadings.T, dense_loadings @ dense_loadings.T, rtol=0, atol=1e-10
         )
         np.testing.assert_allclose(sigma_hat(state).entries, sigma.entries, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(state.sds, sds)
+        shift = np.sqrt(100) * config.scenario.beta * sds[:5] / config.scenario.sigma
+        np.testing.assert_array_equal(state.mu[:5], shift)
 
     def test_no_p_by_p_array_is_built(self):
         p = 4000
