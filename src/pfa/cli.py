@@ -97,6 +97,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _require(0.0 < args.fraction <= 1.0, f"fraction must lie in (0, 1], got {args.fraction}")
     sigma = read_matrix_csv(args.sigma)
     z = read_vector_csv(args.z)
+    _require(z.size == sigma.dim, f"{args.z}: z has length {z.size} but the matrix has dimension {sigma.dim}")
     report = run_estimate(
         z,
         sigma,

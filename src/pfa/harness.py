@@ -3,11 +3,12 @@
 One experiment fixes a scenario: a single design draw determines the known
 correlation matrix, the factor model, and the mean shifts; replications
 then draw fresh test statistics from N(mu, Sigma) and evaluate the realized
-counts and the estimators. The design and each replication draw from a
-substream of the master seed keyed by purpose and index (`substream`); the
-Monte-Carlo factor draws come from `standard_factor_draws`, which seeds its
-generator with the master seed itself. So output is bit-identical for a
-given config and seed.
+counts and the estimators. The design and the replications each draw from
+one substream of the master seed keyed by purpose (`substream`), the
+replications one after another, so a run builds one generator per purpose,
+not one per replication. The Monte-Carlo factor draws come from
+`standard_factor_draws`, which seeds its generator with the master seed
+itself. So output is bit-identical for a given config and seed.
 
 The p x p sample correlation Sigma = X'X / (n-1) of the standardized n x p
 design X has rank below n, and no harness path forms it: its spectrum comes
@@ -271,16 +272,19 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
 def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 256):
     """(reps, statistics) chunks of the N(mu, x'x) draws of every replication.
 
-    Each replication takes its n standard normals g from its own substream
-    and draws mu + g @ x. A chunk of one replication is multiplied as one of
-    two rows: numpy would give a lone row to its matrix-vector product, which
-    rounds differently from the rows of a matrix product.
+    Every replication takes its n standard normals g from one generator, the
+    `_NS_REPLICATION` substream under the scenario key, a chunk of rows at a
+    time in replication order, and draws mu + g @ x. A generator drawn in
+    pieces yields the bits of one draw of the whole (n_reps, n) block, so the
+    draws do not depend on chunk_size. A chunk of one replication is
+    multiplied as one of two rows: numpy would give a lone row to its
+    matrix-vector product, which rounds differently from the rows of a matrix
+    product.
     """
+    rng = substream(config.seed, _NS_REPLICATION, *state.key)
     for start in range(0, config.n_reps, chunk_size):
         reps = range(start, min(start + chunk_size, config.n_reps))
-        noise = np.stack(
-            [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.n) for rep in reps]
-        )
+        noise = rng.standard_normal((len(reps), state.scenario.n))
         statistics = (noise if len(reps) > 1 else np.vstack([noise, noise])) @ state.x
         statistics = statistics[: len(reps)]
         statistics += state.mu
@@ -510,10 +514,11 @@ def run_convergence(
 ) -> dict:
     """Empirical FDP distribution versus its factor-driven limit, per p.
 
-    For each dimension, replication i draws the statistics behind its
-    empirical FDP from the `_NS_REPLICATION` substream and the factors
-    behind its limit value from the `_NS_LIMIT` substream, both keyed by
-    the dimension's index and i. Emits one histogram CSV per (p, t) (50
+    For each dimension, the replications draw the statistics behind their
+    empirical FDPs from the `_NS_REPLICATION` substream (`_draw_statistics`)
+    and the factors behind their limit values as one (n_reps, k) block from
+    the `_NS_LIMIT` substream, both keyed by the dimension's index; row i of
+    each belongs to replication i. Emits one histogram CSV per (p, t) (50
     bins on [0, 1]) plus a summary with two-sample Kolmogorov-Smirnov
     distances.
     """
@@ -539,9 +544,7 @@ def run_convergence(
         for reps, statistics in _draw_statistics(config, state):
             v, _, r = _chunk_counts(config.t_grid, state, statistics)
             empirical[reps.start : reps.stop] = v / np.maximum(r, 1)
-        draws = np.stack(
-            [substream(seed, _NS_LIMIT, p_index, rep).standard_normal(state.k) for rep in range(n_reps)]
-        )
+        draws = substream(seed, _NS_LIMIT, p_index).standard_normal((n_reps, state.k))
         limit = fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)
 
         for j, t in enumerate(t_grid):

@@ -39,13 +39,16 @@ def report(name: str, passed: bool, detail: str) -> None:
 # kurtosis ~10^3 under strong dependence, so a 2000-rep variance estimate
 # carries ~70% relative error; the counts below bring the estimator standard
 # errors inside the stated tolerance bands (see "Acceptance-suite notes" in
-# CHANGES.md).
+# CHANGES.md). fan_song's gap between var(V) and the formula converges to
+# about 8% at its seed, so its count (30,000 before 0.7.0) is the one at which
+# the 10% closeness clause holds with margin on both the 0.6.0 and the 0.7.0
+# replication streams (scripts/run_stream_spread_study.py).
 # --------------------------------------------------------------------------
 
 VARIANCE_ROWS = [
     # (kind, reference, rel. band, n_reps, n_mc, seed)
     ("equal_correlation", 180.97, 0.15, 250_000, 250_000, 34),
-    ("fan_song", 5.25, 0.20, 30_000, 100_000, 20260811),
+    ("fan_song", 5.25, 0.20, 240_000, 100_000, 20260811),
     ("two_factor", 53.95, 0.20, 150_000, 150_000, 56),
 ]
 

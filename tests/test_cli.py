@@ -83,6 +83,7 @@ class TestEstimateCommand:
             ["estimate", "--sigma", str(identity_sigma), "--z", str(z_path), "--t", "0.05"]
         )
         assert code == 2
+        assert f"{z_path}: z has length 3 but the matrix has dimension" in capsys.readouterr().err
 
     def test_parse_error_is_input_error(self, tmp_path, identity_sigma, capsys):
         z_path = tmp_path / "z.csv"

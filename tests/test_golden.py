@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "b62ca6ebcc099306a12ae1b88601b11c5134355918ee222b8fbefacb0060de59",
-        "estimate.json": "fa6bb748cdd7830164027169461e6e104679d715a34a9afd0e59d4ce95e7aaae",
+        "control.json": "6dd83187592a59df79eb0d899168cce8143d6424589661ba6f41a2a68f16addb",
+        "estimate.json": "a789a15890680cc0179422dfb8b31b3e026db6c5e60270a455cba4b7d4212725",
     },
     "convergence": {
-        "convergence_p40_t0.05.csv": "1380205094139d6566a87835c1f7d7db523ee92e3c27f667e7a50d9ebc9ffe92",
-        "convergence_p40_t0.1.csv": "dde561b813a9da53421314793304eacb6023dedcc8c13064a8cd4ab51de44dc2",
-        "convergence_p60_t0.05.csv": "36bc7ab486d050dae8adc8034891053caa1cef910776d63d78b625889c343dc1",
-        "convergence_p60_t0.1.csv": "4be2653aedb93af059dd648df86092c9c52efae1e3c3df8e04fe3b8dd9371baa",
-        "convergence_summary.json": "a396889100be056b1153125722486dd465a8ca0a1ceb59393cebaf78deb05298",
+        "convergence_p40_t0.05.csv": "a1952e95fa1c364f9bb9e192f41b300406139f14208ebdbb5aef165f048a7137",
+        "convergence_p40_t0.1.csv": "e97e89f9d3a209c221b86f3440539f5bbe9164302944b95b8624c36900887023",
+        "convergence_p60_t0.05.csv": "73df56687a3c75a01616c9fa0673ca4fffbb37b7c17bd0a28f4f9d4df1fa65be",
+        "convergence_p60_t0.1.csv": "dbdf92a7e9be3008009c72fdc9495184db4768599665573d1834ebd6d0cc6c1f",
+        "convergence_summary.json": "ce73c492b793fbcc7fff5efc2107c9f50a747bafc26ff115d493fea472dada17",
     },
     "experiment": {
-        "aggregates.json": "7762707a13d82c9cddd9b0c464a50f63ccf1ab3a367d4c969747378b21af0bef",
-        "records.csv": "fdefb4edaab58be9a0648250f10b2ddb05270178956460ab09afc5bdfe851691",
+        "aggregates.json": "e3997922f5040f32032c730690b49074991384e9c4f610dff2166914f9e86a74",
+        "records.csv": "e3eaff1c1b921b6f331cefb4a56f78373964c132223abcc9d937f29bef55b7da",
     },
     "experiment_no_estimators": {
-        "aggregates.json": "fe9f192d7d3427215726933801cc440af0e4078667851286d099bb236506308b",
-        "records.csv": "0974399a73072ea5bd102f68b4a329a71c87a09af60a5dbf0dbcc332a6e96b13",
+        "aggregates.json": "a911e18c038907f1ead8fe2349ba193e76df0e4ac6bb3fff7fe1fcc9ea2c2c5d",
+        "records.csv": "93813cd185985cc6d9f7276cef076af9b9d0a8dc4cdc81e7688b73a53f9836fc",
     },
     "variance_study": {
-        "variance.json": "e8f79f2fe09f6bb768e77f506a30e3f2009fb17edda5016a299f190da04c5eb5",
+        "variance.json": "db711abaca68635ec70a095b4a155396bc4ae631fad2e6e3e1dd5fcb8802cefd",
     },
 }
 

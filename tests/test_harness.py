@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import pfa.harness
-from pfa.factors import build_factor_model, select_num_factors
+from pfa.factors import build_factor_model, fdp_limit, select_num_factors
 from pfa.harness import (
     _NS_DESIGN,
+    _NS_LIMIT,
+    _NS_REPLICATION,
     ExperimentConfig,
     _draw_statistics,
     load_output,
@@ -204,6 +206,16 @@ class TestDrawStatistics:
         whole = next(_draw_statistics(config, state, 7))[1]
         np.testing.assert_allclose(np.concatenate([z for _, z in chunks]), whole, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("key", [(), (2,)])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 256])
+    def test_draws_are_one_block_of_the_replication_stream(self, key, chunk_size):
+        # Chunks of 3 over 7 replications end in a one-row chunk, which is multiplied as one of two rows.
+        config = small_config(n_reps=7)
+        state = prepare_scenario(config, key)
+        noise = substream(config.seed, _NS_REPLICATION, *key).standard_normal((config.n_reps, config.scenario.n))
+        drawn = np.concatenate([z for _, z in _draw_statistics(config, state, chunk_size)])
+        np.testing.assert_array_equal(drawn, state.mu + noise @ state.x)
+
 
 class TestRunExperiment:
     def test_deterministic_records(self):
@@ -253,7 +265,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("with_estimators, sizes", [(False, (1, 3)), (True, (1, 3))])
     def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch, with_estimators, sizes):
-        # Each replication draws from its own substream, and its counts come from one batched call
+        # The replications draw from one generator in order, and their counts come from one batched call
         # per chunk. A one-row chunk is multiplied as one of two rows, so the estimators of a
         # replication drawn alone keep their last bits.
         config = small_config(with_estimators=with_estimators)
@@ -264,6 +276,20 @@ class TestRunExperiment:
             output = run_experiment(config)
             assert output.records == default.records
             assert output.aggregates == default.aggregates
+
+    def test_generators_built_do_not_depend_on_n_reps(self, monkeypatch):
+        # One substream for the design and one for all replications, however many replications run.
+        keys = []
+
+        def counted(seed, *key):
+            keys.append(key)
+            return substream(seed, *key)
+
+        monkeypatch.setattr(pfa.harness, "substream", counted)
+        for n_reps in (1, 300, 700):
+            keys.clear()
+            run_experiment(small_config(n_reps=n_reps, with_estimators=False))
+            assert keys == [(_NS_DESIGN,), (_NS_REPLICATION,)]
 
     def test_per_t_aggregates_match_one_threshold_runs(self):
         # The Monte-Carlo keys of every threshold come from one sweep of the shared draws.
@@ -603,6 +629,19 @@ class TestRunConvergence:
         assert lefts == edges[:-1].tolist()
         assert rights == edges[1:].tolist()
 
+    def test_limit_draws_are_one_block_of_the_limit_stream(self, monkeypatch):
+        seen = []
+
+        def spy(t, model, mu, true_nulls, draws):
+            seen.append((model.k, draws))
+            return fdp_limit(t, model, mu, true_nulls, draws)
+
+        monkeypatch.setattr(pfa.harness, "fdp_limit", spy)
+        run_convergence(Scenario(kind="two_factor", p=40, n=30, p1=4), (40, 60), (0.05,), n_reps=50, seed=4)
+        assert len(seen) == 2
+        for p_index, (k, draws) in enumerate(seen):
+            assert k > 0
+            np.testing.assert_array_equal(draws, substream(4, _NS_LIMIT, p_index).standard_normal((50, k)))
 
     def test_limits_match_one_threshold_runs(self):
         # Every threshold's limit values come from one sweep of the shared draws.

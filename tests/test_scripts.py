@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pfa.harness import load_output
-from pfa.simulate import SCENARIO_KINDS
+from pfa.harness import load_output, variance_study
+from pfa.simulate import SCENARIO_KINDS, Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--p", "60", "--n", "40", "--p1", "4"]
@@ -19,6 +19,10 @@ SCRIPTS = {
     "run_fdr_comparison.py": ["--reps", "3", "--mc", "50", "--t", "0.01", "--alpha", "0.1", *TINY],
     "run_variance_study.py": ["--reps", "20", "--mc", "20", "--t", "0.01", *TINY],
     "run_convergence_study.py": ["--reps", "20", "--p-grid", "40,60", "--t-grid", "0.05", "--n", "30", "--p1", "4"],
+    "run_stream_spread_study.py": [
+        "--reps-grid", "20,40", "--spread-seeds", "1,2", "--spread-reps", "20", "--mc", "50", "--t", "0.01",
+        "--seed", "3", "--kind", "two_factor", *TINY,
+    ],
 }
 
 
@@ -58,3 +62,19 @@ def test_convergence_study_script(tmp_path):
     assert set(summary["ks"]["0.05"]) == {"40", "60"}
     for p in (40, 60):
         assert (tmp_path / f"convergence_p{p}_t0.05.csv").exists()
+
+
+def test_stream_spread_study_script(tmp_path):
+    run_script("run_stream_spread_study.py", tmp_path)
+    study = json.loads((tmp_path / "stream_spread.json").read_text())
+    assert [run["seed"] for run in study["spread"]] == [1, 2]
+    grid = study["reps_grid"]
+    assert set(grid["schemes"]) == {"one_stream", "per_replication"}
+    for scheme in grid["schemes"].values():
+        assert set(scheme["by_n_reps"]) == {"20", "40"}
+    # The one-stream scheme is the harness's own: its reading is variance_study's.
+    scenario = Scenario(kind="two_factor", p=60, n=40, p1=4, beta=1.0, sigma=2.0)
+    result = variance_study(scenario, t=0.01, n_reps=40, n_mc=50, seed=3)
+    assert grid["formula"] == result["var_numerator_all"]
+    assert grid["schemes"]["one_stream"]["by_n_reps"]["40"]["var_V"] == result["var_V_empirical"]
+    assert grid["schemes"]["per_replication"]["by_n_reps"]["40"]["var_V"] != result["var_V_empirical"]
