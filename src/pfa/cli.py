@@ -91,12 +91,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    # Argument ranges are checked before the matrix is read and decomposed.
+    # Argument ranges are checked before any file is read, and the short z
+    # file before the p x p matrix, so a bad z is reported without parsing it.
     _require(0.0 < args.t < 1.0, f"threshold must lie in (0, 1), got {args.t}")
     _require(0.0 < args.epsilon < 1.0, f"epsilon must lie in (0, 1), got {args.epsilon}")
     _require(0.0 < args.fraction <= 1.0, f"fraction must lie in (0, 1], got {args.fraction}")
-    sigma = read_matrix_csv(args.sigma)
     z = read_vector_csv(args.z)
+    sigma = read_matrix_csv(args.sigma)
     _require(z.size == sigma.dim, f"{args.z}: z has length {z.size} but the matrix has dimension {sigma.dim}")
     report = run_estimate(
         z,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -567,6 +568,26 @@ def run_convergence(
 
 def _read_csv(path: Path, width: int | None) -> np.ndarray:
     """Rows of a headerless numeric CSV; errors carry the file and line.
+
+    numpy's C reader parses a well-formed file in one pass. Any file it
+    rejects, or whose array is empty, of the wrong width or not finite,
+    is read again by `_scan_csv`, which names the bad line and also takes
+    the spellings only Python's `float` accepts (`1_0`, non-ASCII digits).
+    Both round correctly, so a file both accept gives the same bits.
+    """
+    try:
+        with path.open() as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty input warns; `_scan_csv` reports it
+            entries = np.loadtxt(handle, delimiter=",", dtype=float, ndmin=2, comments=None)
+    except ValueError:
+        return _scan_csv(path, width)
+    if entries.size and width in (None, entries.shape[1]) and np.all(np.isfinite(entries)):
+        return entries
+    return _scan_csv(path, width)
+
+
+def _scan_csv(path: Path, width: int | None) -> np.ndarray:
+    """`_read_csv` one line at a time, raising at the first bad line.
 
     Blank lines are skipped. Every row must have `width` cells (the first
     row's count when None) and every cell must be a finite real.

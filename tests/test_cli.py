@@ -103,6 +103,20 @@ class TestEstimateCommand:
         assert code == 2
         assert "z.csv:400: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1.0\nnot-a-number\n", "z.csv:2: could not parse"), ("0.5\n\ninf\n", "z.csv:3: non-finite")],
+    )
+    def test_bad_statistics_are_reported_before_the_matrix_is_read(self, tmp_path, capsys, text, message):
+        z_path = tmp_path / "z.csv"
+        z_path.write_text(text)
+        missing = tmp_path / "absent.csv"
+        code = main(["estimate", "--sigma", str(missing), "--z", str(z_path), "--t", "0.05"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "absent.csv" not in err
+
     @pytest.mark.parametrize("t", ["1.5", "0", "-0.2"])
     def test_threshold_outside_unit_interval_is_input_error(self, tmp_path, identity_sigma, capsys, t):
         z_path = tmp_path / "z.csv"

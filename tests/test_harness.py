@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pfa.harness
 from pfa.factors import build_factor_model, fdp_limit, select_num_factors
@@ -13,6 +16,7 @@ from pfa.harness import (
     _NS_REPLICATION,
     ExperimentConfig,
     _draw_statistics,
+    _scan_csv,
     load_output,
     prepare_scenario,
     read_matrix_csv,
@@ -651,10 +655,73 @@ class TestRunConvergence:
             assert swept[repr(t)] == run_convergence(t_grid=(t,), **setup)["ks"][repr(t)]
 
 
+# Exact spellings of a float: each parses back to the same bits.
+_SPELLINGS = (
+    repr,
+    "%.17g".__mod__,
+    "%+.17g".__mod__,
+    "%.16e".__mod__,
+    "%.16E".__mod__,
+    lambda v: f"  {v!r}\t",
+)
+_FILE_EXAMPLES = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+_CELL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _csv_text(draw, rows):
+    """`rows` (lists of floats) as CSV text in mixed spellings, blank lines and line endings."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=1)))
+        lines.append(",".join(draw(st.sampled_from(_SPELLINGS))(v) for v in row))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline + newline]))
+
+
+@st.composite
+def _correlation_file(draw):
+    dim = draw(st.integers(1, 5))
+    entries = np.eye(dim)
+    for i, j in zip(*np.triu_indices(dim, 1)):
+        entries[i, j] = entries[j, i] = draw(_CELL_VALUES)
+    return entries, draw(_csv_text(entries.tolist()))
+
+
+@st.composite
+def _vector_file(draw):
+    values = np.array(draw(st.lists(_CELL_VALUES, min_size=1, max_size=20)))
+    return values, draw(_csv_text([[v] for v in values.tolist()]))
+
+
 class TestFileReaders:
-    def test_matrix_parse_error_carries_line(self, tmp_path):
+    """`read_*_csv` parse with numpy's C reader; the line scanner `_scan_csv` is the reference."""
+
+    @_FILE_EXAMPLES
+    @given(case=_correlation_file())
+    def test_matrix_reader_matches_the_line_scanner(self, tmp_path, case):
+        entries, text = case
         path = tmp_path / "sigma.csv"
-        path.write_text("1.0,0.5\n0.5,oops\n")
+        path.write_bytes(text.encode())
+        loaded = read_matrix_csv(path).entries
+        assert loaded.tobytes() == _scan_csv(path, None).tobytes() == entries.tobytes()
+
+    @_FILE_EXAMPLES
+    @given(case=_vector_file())
+    def test_vector_reader_matches_the_line_scanner(self, tmp_path, case):
+        values, text = case
+        path = tmp_path / "z.csv"
+        path.write_bytes(text.encode())
+        loaded = read_vector_csv(path)
+        assert loaded.tobytes() == _scan_csv(path, 1)[:, 0].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("row", ["0.5,oops", "0.5,1.0 # note"])
+    def test_matrix_parse_error_carries_line(self, tmp_path, row):
+        path = tmp_path / "sigma.csv"
+        path.write_text(f"1.0,0.5\n{row}\n")
         with pytest.raises(ValueError, match=r"sigma\.csv:2"):
             read_matrix_csv(path)
 
@@ -664,9 +731,10 @@ class TestFileReaders:
         with pytest.raises(ValueError, match=":2"):
             read_matrix_csv(path)
 
-    def test_vector_parse_error_carries_line(self, tmp_path):
+    @pytest.mark.parametrize("line", ["bad", "0.2 # note"])
+    def test_vector_parse_error_carries_line(self, tmp_path, line):
         path = tmp_path / "z.csv"
-        path.write_text("0.1\nbad\n")
+        path.write_text(f"0.1\n{line}\n")
         with pytest.raises(ValueError, match=r"z\.csv:2"):
             read_vector_csv(path)
 
@@ -702,7 +770,7 @@ class TestFileReaders:
         sigma_path.write_text(" 1 , 5e-1\n+.5,1_0e-1\n")
         np.testing.assert_array_equal(read_matrix_csv(sigma_path).entries, [[1.0, 0.5], [0.5, 1.0]])
 
-    def test_matrix_read_holds_about_two_copies(self, tmp_path):
+    def test_matrix_read_holds_about_one_copy(self, tmp_path):
         p = 300
         entries = equal_correlation(p, 0.3).entries
         path = tmp_path / "sigma.csv"
@@ -714,7 +782,35 @@ class TestFileReaders:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.entries, entries)
-        assert peak < 3 * entries.nbytes
+        assert peak < 1.5 * entries.nbytes
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        sigma_path = tmp_path / "sigma.csv"
+        sigma_path.write_text("1.0,0.5\n \t \n\n0.5,1.0\n")
+        np.testing.assert_array_equal(read_matrix_csv(sigma_path).entries, [[1.0, 0.5], [0.5, 1.0]])
+        z_path = tmp_path / "z.csv"
+        z_path.write_text("0.1\n   \n0.2\n")
+        np.testing.assert_array_equal(read_vector_csv(z_path), [0.1, 0.2])
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "\n \n\t\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (read_matrix_csv, read_vector_csv):
+                with pytest.raises(ValueError, match=r"empty\.csv: empty file"):
+                    read(path)
+
+    def test_one_row_keeps_its_shape(self, tmp_path):
+        sigma_path = tmp_path / "sigma.csv"
+        sigma_path.write_text("1.0\n")
+        sigma = read_matrix_csv(sigma_path)
+        assert sigma.dim == 1 and sigma.entries.shape == (1, 1)
+        z_path = tmp_path / "z.csv"
+        z_path.write_text("0.5\n")
+        z = read_vector_csv(z_path)
+        assert z.shape == (1,) and z[0] == 0.5
 
     def test_non_square_matrix_names_the_file(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -722,10 +818,11 @@ class TestFileReaders:
         with pytest.raises(ValueError, match=r"wide\.csv: expected a square matrix"):
             read_matrix_csv(path)
 
-    def test_vector_rejects_several_columns(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [("0.1\n0.2,0.3\n", 2), ("0.1,0.2\n0.3,0.4\n", 1)])
+    def test_vector_rejects_several_columns(self, tmp_path, text, line):
         path = tmp_path / "z.csv"
-        path.write_text("0.1\n0.2,0.3\n")
-        with pytest.raises(ValueError, match=r"z\.csv:2: expected 1 columns, found 2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"z\.csv:{line}: expected 1 columns, found 2"):
             read_vector_csv(path)
 
     def test_round_trip_files(self, tmp_path):
