@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import zip_longest
@@ -84,15 +85,19 @@ RECORD_COLUMNS = (
     "fdp_bh_proc",
     "fdp_storey_proc",
     "lad_converged",
+    "lad_iterations",
 )
 
-_INT_COLUMNS = ("R", "V", "S", "lad_converged")
+_INT_COLUMNS = ("R", "V", "S", "lad_converged", "lad_iterations")
 # Columns a run leaves out (None) with estimators off, and with no control_alpha.
-_ESTIMATOR_COLUMNS = ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged")
+_ESTIMATOR_COLUMNS = ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged", "lad_iterations")
 _PROCEDURE_COLUMNS = ("fdp_bh_proc", "fdp_storey_proc")
 
 # Per-threshold aggregates of the Monte-Carlo draws; the loader recomputes all others from the records.
 _MC_KEYS = ("approx_fdr", "var_numerator_all", "var_numerator_nulls")
+
+# The code points a "surrogateescape" decode gives the bytes that are not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _check_distinct(what: str, values: tuple | list) -> None:
@@ -268,6 +273,7 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
             columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0)
             columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t), 1.0)
         columns["lad_converged"][rep] = int(fit.converged)
+        columns["lad_iterations"][rep] = fit.iterations
 
 
 def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 256):
@@ -312,7 +318,8 @@ def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.nd
 def _aggregate_per_t(columns: dict, j: int) -> dict:
     """Record-derived aggregates at the j-th threshold; each column's slice is cast to float first."""
     at_t = {name: values[:, j].astype(float) for name, values in columns.items() if values is not None}
-    out = {f"mean_{name}": float(np.mean(x)) for name, x in at_t.items() if name not in ("S", "lad_converged")}
+    unaveraged = ("S", "lad_converged", "lad_iterations")
+    out = {f"mean_{name}": float(np.mean(x)) for name, x in at_t.items() if name not in unaveraged}
     v, fdp_true = at_t["V"], at_t["fdp_true"]
     out["var_V"] = float(np.var(v, ddof=1)) if v.size > 1 else 0.0
     out["sd_fdp_true"] = float(np.std(fdp_true, ddof=1)) if fdp_true.size > 1 else 0.0
@@ -576,7 +583,7 @@ def _read_csv(path: Path, width: int | None) -> np.ndarray:
     Both round correctly, so a file both accept gives the same bits.
     """
     try:
-        with path.open() as handle, warnings.catch_warnings():
+        with path.open(encoding="utf-8") as handle, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; `_scan_csv` reports it
             entries = np.loadtxt(handle, delimiter=",", dtype=float, ndmin=2, comments=None)
     except ValueError:
@@ -590,10 +597,11 @@ def _scan_csv(path: Path, width: int | None) -> np.ndarray:
     """`_read_csv` one line at a time, raising at the first bad line.
 
     Blank lines are skipped. Every row must have `width` cells (the first
-    row's count when None) and every cell must be a finite real.
+    row's count when None) and every cell must be a finite real. Text that
+    is not UTF-8 fails on the line that holds it.
     """
     rows: list[np.ndarray] = []
-    with path.open() as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -601,7 +609,8 @@ def _scan_csv(path: Path, width: int | None) -> np.ndarray:
             try:
                 row = np.array(line.split(","), dtype=float)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: could not parse: {exc}") from None
+                reason = "not valid UTF-8 text" if _UNDECODED.search(line) else f"could not parse: {exc}"
+                raise ValueError(f"{path}:{lineno}: {reason}") from None
             width = width or row.size
             if row.size != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} columns, found {row.size}")

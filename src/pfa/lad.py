@@ -2,8 +2,10 @@
 
 The statistics with the smallest |z| are treated as (approximately) pure
 noise-plus-factors, and the factor values are fitted by least absolute
-deviation regression on that calibration set, solved exactly by basis
-exchange with the linear program's dual as its optimality certificate.
+deviation regression on that calibration set. A few Frisch-Newton
+interior-point steps on the linear program's dual pick the first basis;
+basis exchange then solves the fit exactly, with the dual as its
+optimality certificate.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ __all__ = [
     "misspecification_bound",
 ]
 
-# Fixed-mu IRLS steps before the first vertex, mu a fraction of the median
-# absolute least-squares residual; they cut the pivot count by about 2/3.
-_IRLS_STEPS = 10
-_IRLS_MU = 0.1
+# Frisch-Newton steps before the first vertex, and the share of the way to
+# the bounds each step may go. On k = 92 calibration fits of 750 rows they
+# cut the pivots from a median of 76 (least-squares start) to 4.
+_INTERIOR_STEPS = 10
+_STEP_SHARE = 0.9995
 # Residuals within this multiple of max(1, max|z|) count as zero: float
 # noise only, since with k = n - 1 the true residuals are about 1e-8.
 _ZERO_BAND = 1e-12
@@ -88,7 +91,8 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     `_degenerate_certificate`). Otherwise the row with
     the largest |u_j| leaves, and an exact line search along the edge that
     frees it picks the row that enters. The first basis is the k rows with
-    the smallest residuals after a least-squares fit and a few IRLS steps;
+    the smallest residuals after the interior-point steps of
+    `_interior_point`, which start from the least-squares fit;
     `iterations` counts those steps plus the pivots. Each pivot lowers the
     objective or keeps it, so a fit that hits the pivot cap returns its
     last vertex, the best seen, with `converged=False`. A least-squares fit with every
@@ -107,16 +111,11 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
         raise RankDeficientError(f"design has rank below {k}")
 
     band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
-    # Start: least squares, then IRLS steps on sqrt(r^2 + mu^2) at one mu.
     beta = np.linalg.solve(gram, design.T @ z)
-    residual = np.abs(z - design @ beta)
-    if np.all(residual <= band):
-        return FactorFit(w_hat=beta, objective=float(np.sum(residual)), iterations=0, converged=True)
-    mu = max(_IRLS_MU * float(np.median(residual)), band)
-    for _ in range(_IRLS_STEPS):
-        weights = 1.0 / np.sqrt(np.square(z - design @ beta) + mu * mu)
-        weighted = design * weights[:, None]
-        beta = np.linalg.solve(design.T @ weighted, weighted.T @ z)
+    residual = z - design @ beta
+    if np.all(np.abs(residual) <= band):
+        return FactorFit(w_hat=beta, objective=float(np.sum(np.abs(residual))), iterations=0, converged=True)
+    beta, steps = _interior_point(design, beta, residual)
     residual = z - design @ beta
     basis = np.argsort(np.abs(residual), kind="stable")[:k]
     try:
@@ -171,9 +170,62 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     return FactorFit(
         w_hat=beta,
         objective=float(np.sum(np.abs(z - design @ beta))),
-        iterations=_IRLS_STEPS + pivots,
+        iterations=steps + pivots,
         converged=converged,
     )
+
+
+def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, int]:
+    """beta after the Frisch-Newton steps from the least-squares fit (beta, residual), and the step count.
+
+    The predictor-corrector of Koenker and Morillo (Portnoy and Koenker
+    1997) on the LAD dual: maximize z'x over X'x = X'1/2 with 0 <= x <= 1
+    (x = d + 1/2 for the dual values d in [-1/2, 1/2]), slack s = 1 - x, and
+    multipliers v, w >= 0 of its bounds, kept dual feasible as
+    w - v = z - X beta. Each step solves the weighted normal equations
+    X'QX dbeta = X'Q e, Q = 1 / (v/x + w/s), once for the predictor and once
+    for the corrector with one Cholesky factor. A factor that fails (the
+    weights span too many magnitudes near the optimum) ends the steps there.
+    """
+    m = design.shape[0]
+    x, s = np.full(m, 0.5), np.full(m, 0.5)
+    residual = np.where(residual == 0.0, -0.001, residual)  # so that v + w > 0 on every row
+    v, w = np.maximum(-residual, 0.0), np.maximum(residual, 0.0)
+
+    def newton(q, factor, target):
+        dbeta = scipy.linalg.cho_solve(factor, design.T @ (q * target))
+        return dbeta, q * (target - design @ dbeta)
+
+    for step in range(_INTERIOR_STEPS):
+        q = 1.0 / (v / x + w / s)
+        try:
+            factor = scipy.linalg.cho_factor((design.T * q) @ design)
+        except np.linalg.LinAlgError:
+            return beta, step
+        e = w - v
+        dbeta, dx = newton(q, factor, e)
+        dv, dw = -v * (dx / x + 1.0), w * (dx / s - 1.0)
+        fp, fd = _step_length(x, s, dx, -dx), _step_length(v, w, dv, dw)
+        if min(fp, fd) < 1.0:
+            # Corrector: aim at the centring mu the affine step suggests.
+            mu = v @ x + w @ s
+            reach = (v + fd * dv) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
+            mu *= (reach / mu) ** 3 / (2 * m)
+            xi = mu * (1.0 / x - 1.0 / s)
+            cross_v, cross_w = dx * dv, -dx * dw
+            dbeta, dx = newton(q, factor, e + xi - cross_v + cross_w)
+            dv = mu / x - v - v * dx / x - cross_v
+            dw = mu / s - w + w * dx / s - cross_w
+            fp, fd = _step_length(x, s, dx, -dx), _step_length(v, w, dv, dw)
+        x, s = x + fp * dx, s - fp * dx
+        beta, v, w = beta + fd * dbeta, v + fd * dv, w + fd * dw
+    return beta, _INTERIOR_STEPS
+
+
+def _step_length(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray) -> float:
+    """_STEP_SHARE of the longest part of the step (da, db) that keeps a and b positive, at most 1."""
+    ratios = [-a[da < 0.0] / da[da < 0.0], -b[db < 0.0] / db[db < 0.0]]
+    return min(1.0, _STEP_SHARE * float(np.min(np.concatenate(ratios), initial=np.inf)))
 
 
 def _degenerate_certificate(exact: np.ndarray, pull: np.ndarray) -> bool:

@@ -103,6 +103,14 @@ class TestEstimateCommand:
         assert code == 2
         assert "z.csv:400: non-finite" in capsys.readouterr().err
 
+    def test_text_that_is_not_utf8_names_the_line(self, tmp_path, identity_sigma, capsys):
+        # Far enough down that the bad byte lies beyond the first block a text reader decodes.
+        z_path = tmp_path / "z.csv"
+        z_path.write_bytes(b"0.5\n" * 3000 + b"0.2\xe9\n" + b"0.5\n" * 10)
+        code = main(["estimate", "--sigma", str(identity_sigma), "--z", str(z_path), "--t", "0.05"])
+        assert code == 2
+        assert "z.csv:3001: not valid UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, message",
         [("1.0\nnot-a-number\n", "z.csv:2: could not parse"), ("0.5\n\ninf\n", "z.csv:3: non-finite")],

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "6dd83187592a59df79eb0d899168cce8143d6424589661ba6f41a2a68f16addb",
-        "estimate.json": "a789a15890680cc0179422dfb8b31b3e026db6c5e60270a455cba4b7d4212725",
+        "control.json": "bcee640a65f6aaa00ef21cac24ea5b6c19edeaa9a212f9108bc8a0c5f7d91d9a",
+        "estimate.json": "dd22b94bd1313390d75f891192e9c522b7e77cfa3cb496daa45f5909a2a18fbe",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "a1952e95fa1c364f9bb9e192f41b300406139f14208ebdbb5aef165f048a7137",
         "convergence_p40_t0.1.csv": "e97e89f9d3a209c221b86f3440539f5bbe9164302944b95b8624c36900887023",
         "convergence_p60_t0.05.csv": "73df56687a3c75a01616c9fa0673ca4fffbb37b7c17bd0a28f4f9d4df1fa65be",
         "convergence_p60_t0.1.csv": "dbdf92a7e9be3008009c72fdc9495184db4768599665573d1834ebd6d0cc6c1f",
-        "convergence_summary.json": "ce73c492b793fbcc7fff5efc2107c9f50a747bafc26ff115d493fea472dada17",
+        "convergence_summary.json": "688300d34222b53f150fedf30f4e93a2a67512d9de8776420e0c611af04ba475",
     },
     "experiment": {
-        "aggregates.json": "e3997922f5040f32032c730690b49074991384e9c4f610dff2166914f9e86a74",
-        "records.csv": "e3eaff1c1b921b6f331cefb4a56f78373964c132223abcc9d937f29bef55b7da",
+        "aggregates.json": "64156d24a6ad1814e5cc57bef9392cdf6a9d7555ca97d06f59413479dca1d430",
+        "records.csv": "0b16ecb229af935e7544f98c3d9d180dcf74a7c767a7cbd544d384c2bc7770e5",
     },
     "experiment_no_estimators": {
-        "aggregates.json": "a911e18c038907f1ead8fe2349ba193e76df0e4ac6bb3fff7fe1fcc9ea2c2c5d",
-        "records.csv": "93813cd185985cc6d9f7276cef076af9b9d0a8dc4cdc81e7688b73a53f9836fc",
+        "aggregates.json": "857140e19e679e386c476121e0154a24ec4216df563229f3e1a709f9d2a50c5d",
+        "records.csv": "6e1cc2214dcb59208d5106797da4487cee491a9ce365cf385ed8a3638f19303f",
     },
     "variance_study": {
-        "variance.json": "db711abaca68635ec70a095b4a155396bc4ae631fad2e6e3e1dd5fcb8802cefd",
+        "variance.json": "3072d32a59e39581a370d908c22cb759bab0152aea0fab8f801b8b57efeeaa7b",
     },
 }
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -108,7 +109,7 @@ class TestLadRegress:
         z[:3] += np.array([2.0, -1.5, 3.0])
         fit = lad_regress(design, z)
         assert fit.converged
-        assert fit.iterations == pfa.lad._IRLS_STEPS
+        assert fit.iterations == pfa.lad._INTERIOR_STEPS
         np.testing.assert_allclose(fit.w_hat, w0, atol=1e-9)
         assert fit.objective == pytest.approx(6.5, rel=1e-9)
 
@@ -272,6 +273,9 @@ class TestLadMatchesLinearProgram:
         assert fit.objective <= highs_objective(design, z) + bound
 
     def test_pivot_cap_returns_best_vertex_uncertified(self, monkeypatch):
+        # The interior steps start this instance at its optimum; from the
+        # least-squares basis it needs pivots, which the cap then cuts off.
+        monkeypatch.setattr(pfa.lad, "_INTERIOR_STEPS", 0)
         design, z = random_instance(1)
         optimum = lad_regress(design, z)
         monkeypatch.setattr(pfa.lad, "_PIVOTS_PER_FACTOR", 0)
@@ -280,6 +284,25 @@ class TestLadMatchesLinearProgram:
         assert not capped.converged
         assert capped.objective == pytest.approx(l1_objective(design, z, capped.w_hat), rel=1e-12)
         assert capped.objective > optimum.objective
+
+    def test_interior_start_leaves_few_pivots(self):
+        # From the least-squares start these fits need 0.64 k to 0.95 k pivots.
+        for design, z in scenario_instances():
+            fit = lad_regress(design, z)
+            assert fit.converged
+            assert fit.iterations - pfa.lad._INTERIOR_STEPS < design.shape[1] / 2
+
+    def test_failed_factorization_starts_from_least_squares(self, monkeypatch):
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        for design, z in [random_instance(1), next(scenario_instances())]:
+            self._check(design, z)
+        assert len(calls) == 2
 
     @staticmethod
     def _check(design, z):
