@@ -86,11 +86,12 @@ RECORD_COLUMNS = (
     "fdp_storey_proc",
     "lad_converged",
     "lad_iterations",
+    "lad_objective",
 )
 
 _INT_COLUMNS = ("R", "V", "S", "lad_converged", "lad_iterations")
 # Columns a run leaves out (None) with estimators off, and with no control_alpha.
-_ESTIMATOR_COLUMNS = ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged", "lad_iterations")
+_ESTIMATOR_COLUMNS = ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged", "lad_iterations", "lad_objective")
 _PROCEDURE_COLUMNS = ("fdp_bh_proc", "fdp_storey_proc")
 
 # Per-threshold aggregates of the Monte-Carlo draws; the loader recomputes all others from the records.
@@ -274,6 +275,7 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
             columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t), 1.0)
         columns["lad_converged"][rep] = int(fit.converged)
         columns["lad_iterations"][rep] = fit.iterations
+        columns["lad_objective"][rep] = fit.objective
 
 
 def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size: int = 256):
@@ -318,7 +320,7 @@ def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.nd
 def _aggregate_per_t(columns: dict, j: int) -> dict:
     """Record-derived aggregates at the j-th threshold; each column's slice is cast to float first."""
     at_t = {name: values[:, j].astype(float) for name, values in columns.items() if values is not None}
-    unaveraged = ("S", "lad_converged", "lad_iterations")
+    unaveraged = ("S", "lad_converged", "lad_iterations", "lad_objective")
     out = {f"mean_{name}": float(np.mean(x)) for name, x in at_t.items() if name not in unaveraged}
     v, fdp_true = at_t["V"], at_t["fdp_true"]
     out["var_V"] = float(np.var(v, ddof=1)) if v.size > 1 else 0.0

@@ -92,7 +92,9 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     the largest |u_j| leaves, and an exact line search along the edge that
     frees it picks the row that enters. The first basis is the k rows with
     the smallest residuals after the interior-point steps of
-    `_interior_point`, which start from the least-squares fit;
+    `_interior_point`, which start from the least-squares fit, taken in
+    index order so that the fit depends on that set alone and not on the
+    last bits of the residuals that rank it;
     `iterations` counts those steps plus the pivots. Each pivot lowers the
     objective or keeps it, so a fit that hits the pivot cap returns its
     last vertex, the best seen, with `converged=False`. A least-squares fit with every
@@ -117,7 +119,7 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
         return FactorFit(w_hat=beta, objective=float(np.sum(np.abs(residual))), iterations=0, converged=True)
     beta, steps = _interior_point(design, beta, residual)
     residual = z - design @ beta
-    basis = np.argsort(np.abs(residual), kind="stable")[:k]
+    basis = np.sort(np.argsort(np.abs(residual), kind="stable")[:k])
     try:
         inverse = np.linalg.inv(design[basis])
         condition = np.linalg.norm(design[basis], 1) * np.linalg.norm(inverse, 1)

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "bcee640a65f6aaa00ef21cac24ea5b6c19edeaa9a212f9108bc8a0c5f7d91d9a",
-        "estimate.json": "dd22b94bd1313390d75f891192e9c522b7e77cfa3cb496daa45f5909a2a18fbe",
+        "control.json": "ccc2b5e90f0e5f98df35e7d8e9f84863426d5626e447678986142f339a7440c9",
+        "estimate.json": "f3cbc51acc435ae519e6db1eda0f7e20b11df9351fc812b4b55f7e6fb5824b6e",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "a1952e95fa1c364f9bb9e192f41b300406139f14208ebdbb5aef165f048a7137",
         "convergence_p40_t0.1.csv": "e97e89f9d3a209c221b86f3440539f5bbe9164302944b95b8624c36900887023",
         "convergence_p60_t0.05.csv": "73df56687a3c75a01616c9fa0673ca4fffbb37b7c17bd0a28f4f9d4df1fa65be",
         "convergence_p60_t0.1.csv": "dbdf92a7e9be3008009c72fdc9495184db4768599665573d1834ebd6d0cc6c1f",
-        "convergence_summary.json": "688300d34222b53f150fedf30f4e93a2a67512d9de8776420e0c611af04ba475",
+        "convergence_summary.json": "249cda8fabaada9372b17ec8c25bd68a65c6a094c8032c7a2b39db213c77678e",
     },
     "experiment": {
-        "aggregates.json": "64156d24a6ad1814e5cc57bef9392cdf6a9d7555ca97d06f59413479dca1d430",
-        "records.csv": "0b16ecb229af935e7544f98c3d9d180dcf74a7c767a7cbd544d384c2bc7770e5",
+        "aggregates.json": "40a828fc4a4ab5fee4f55f26068080f4e7821a1e5d81fc72bfdbc2681948ee37",
+        "records.csv": "b32affa1d3ccc6b38578ed7529d041193ac968ca0bb6c010d2fdebceb8817f90",
     },
     "experiment_no_estimators": {
-        "aggregates.json": "857140e19e679e386c476121e0154a24ec4216df563229f3e1a709f9d2a50c5d",
-        "records.csv": "6e1cc2214dcb59208d5106797da4487cee491a9ce365cf385ed8a3638f19303f",
+        "aggregates.json": "f7e54cd031fdf73dcb0621b95ddd973170b799527fd0f4dd15c743827f1932da",
+        "records.csv": "99fa1025c8d6773b8bf20a938c5c24566da393ad10ad96a881e5c500ca6958f8",
     },
     "variance_study": {
-        "variance.json": "3072d32a59e39581a370d908c22cb759bab0152aea0fab8f801b8b57efeeaa7b",
+        "variance.json": "cb025d468d2d8749679d824cd5bb04be2da60d8f67819bf3eb8ebb4aff79625d",
     },
 }
 

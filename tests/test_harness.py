@@ -236,6 +236,7 @@ class TestRunExperiment:
         assert row["fdp_bh_proc"] is None
         assert row["lad_converged"] is None
         assert row["lad_iterations"] is None
+        assert row["lad_objective"] is None
         summary = output.aggregates["per_t"][repr(0.01)]
         assert "mean_fdp_pfa" not in summary
         assert "n_lad_uncertified" not in summary
@@ -273,6 +274,20 @@ class TestRunExperiment:
         output = run_experiment(small_config())
         assert min(counts) > 0
         assert [row["lad_iterations"] for row in output.records] == [n for n in counts for _ in (0.01, 0.05)]
+
+    def test_records_carry_each_fit_s_objective(self, monkeypatch):
+        objectives = []
+
+        def recorded(*args):
+            fit = lad_regress(*args)
+            objectives.append(fit.objective)
+            return fit
+
+        monkeypatch.setattr(pfa.harness, "lad_regress", recorded)
+        output = run_experiment(small_config())
+        assert min(objectives) > 0.0
+        assert [row["lad_objective"] for row in output.records] == [f for f in objectives for _ in (0.01, 0.05)]
+        assert not any("lad_objective" in key for key in output.aggregates["per_t"][repr(0.01)])
 
     def test_fits_with_every_positive_factor_are_certified(self):
         # With k = n - 1 the null statistics lie in the span of the loadings.
@@ -323,7 +338,7 @@ class TestRunExperiment:
         output = run_experiment(config)
         assert list(output.columns) == list(pfa.harness.RECORD_COLUMNS[2:])
         for name, values in output.columns.items():
-            if name in ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged", "lad_iterations"):
+            if name in ("fdp_pfa", "fdp_efron", "fdp_storey", "lad_converged", "lad_iterations", "lad_objective"):
                 assert values is None
             else:
                 assert values.shape == (1100, 2)
@@ -492,7 +507,7 @@ class TestLoaderRecordOrder:
             ),
             pytest.param(
                 lambda lines: drop_line(lines, 17),
-                r"records\.csv:17: expected rep,t = 7,0\.05 and 13 cells, found no cells",
+                r"records\.csv:17: expected rep,t = 7,0\.05 and 14 cells, found no cells",
                 id="dropped-last",
             ),
             pytest.param(
@@ -512,7 +527,7 @@ class TestLoaderRecordOrder:
             ),
             pytest.param(
                 lambda lines: lines[:5] + [lines[5] + ",0"] + lines[6:],
-                r"records\.csv:6: .* found rep,t = 2,0\.01 and 14 cells",
+                r"records\.csv:6: .* found rep,t = 2,0\.01 and 15 cells",
                 id="extra-cell",
             ),
             pytest.param(
@@ -529,6 +544,11 @@ class TestLoaderRecordOrder:
                 lambda lines: set_cell(lines, 6, "lad_iterations", "12.0"),
                 r"records\.csv: column 'lad_iterations': invalid literal",
                 id="non-integer-iterations",
+            ),
+            pytest.param(
+                lambda lines: set_cell(lines, 6, "lad_objective", "1.5x"),
+                r"records\.csv: column 'lad_objective': could not convert",
+                id="non-float-objective",
             ),
             pytest.param(
                 lambda lines: ["rep,t,V,R" + lines[0][9:]] + lines[1:],
