@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .factors import FactorModel
 
@@ -40,8 +41,9 @@ _DUAL_TOL = 1e-9
 _PIVOTS_PER_FACTOR = 20
 # A starting basis whose 1-norm condition number exceeds this is replaced.
 _MAX_CONDITION = 1e12
-# A Gram matrix whose smallest eigenvalue exceeds this share of its largest
-# has full rank beyond rounding doubt; any other design gets the SVD test.
+# A Gram matrix whose smallest eigenvalue provably exceeds this share of its
+# largest has full rank beyond rounding doubt; any other design gets the SVD
+# test.
 _GRAM_FULL_RANK = 1e-8
 
 
@@ -108,8 +110,7 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     if m < k:
         raise ValueError(f"need at least as many rows as factors: m={m}, k={k}")
     gram = design.T @ design
-    spectrum = np.linalg.eigvalsh(gram)
-    if spectrum[0] <= _GRAM_FULL_RANK * spectrum[-1] and np.linalg.matrix_rank(design) < k:
+    if not _well_conditioned(gram) and np.linalg.matrix_rank(design) < k:
         raise RankDeficientError(f"design has rank below {k}")
 
     band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
@@ -186,48 +187,76 @@ def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) 
     multipliers v, w >= 0 of its bounds, kept dual feasible as
     w - v = z - X beta. Each step solves the weighted normal equations
     X'QX dbeta = X'Q e, Q = 1 / (v/x + w/s), once for the predictor and once
-    for the corrector with one Cholesky factor. A factor that fails (the
-    weights span too many magnitudes near the optimum) ends the steps there.
+    for the corrector with one Cholesky factor. X'QX is formed as Y'Y with
+    Y = sqrt(Q) X, which BLAS computes as a symmetric rank-k update, half
+    the work of a general product. A factor that fails (the weights span
+    too many magnitudes near the optimum) ends the steps there.
     """
     m = design.shape[0]
     x, s = np.full(m, 0.5), np.full(m, 0.5)
     residual = np.where(residual == 0.0, -0.001, residual)  # so that v + w > 0 on every row
     v, w = np.maximum(-residual, 0.0), np.maximum(residual, 0.0)
+    # X' and Y' = X' sqrt(Q) in C order, so that the scaling runs along contiguous rows.
+    transposed = np.ascontiguousarray(design.T)
+    scaled = np.empty_like(transposed)
 
-    def newton(q, factor, target):
-        dbeta = scipy.linalg.cho_solve(factor, design.T @ (q * target))
-        return dbeta, q * (target - design @ dbeta)
+    def newton(target):
+        dbeta = scipy.linalg.lapack.dpotrs(factor, transposed @ (q * target), lower=True)[0]
+        return dbeta, q * (target - dbeta @ transposed)
 
-    for step in range(_INTERIOR_STEPS):
-        q = 1.0 / (v / x + w / s)
-        try:
-            factor = scipy.linalg.cho_factor((design.T * q) @ design)
-        except np.linalg.LinAlgError:
-            return beta, step
-        e = w - v
-        dbeta, dx = newton(q, factor, e)
-        dv, dw = -v * (dx / x + 1.0), w * (dx / s - 1.0)
-        fp, fd = _step_length(x, s, dx, -dx), _step_length(v, w, dv, dw)
-        if min(fp, fd) < 1.0:
-            # Corrector: aim at the centring mu the affine step suggests.
-            mu = v @ x + w @ s
-            reach = (v + fd * dv) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
-            mu *= (reach / mu) ** 3 / (2 * m)
-            xi = mu * (1.0 / x - 1.0 / s)
-            cross_v, cross_w = dx * dv, -dx * dw
-            dbeta, dx = newton(q, factor, e + xi - cross_v + cross_w)
-            dv = mu / x - v - v * dx / x - cross_v
-            dw = mu / s - w + w * dx / s - cross_w
-            fp, fd = _step_length(x, s, dx, -dx), _step_length(v, w, dv, dw)
-        x, s = x + fp * dx, s - fp * dx
-        beta, v, w = beta + fd * dbeta, v + fd * dv, w + fd * dw
+    # A multiplier at 0 (v or w, before the first corrector) gives 0/0 in its step ratio.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_INTERIOR_STEPS):
+            q = 1.0 / (v / x + w / s)
+            np.multiply(transposed, np.sqrt(q), out=scaled)
+            # Y'Y is symmetric, so its transpose is the Fortran-ordered array LAPACK factors in place.
+            gram = (scaled @ scaled.T).T
+            factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True, overwrite_a=True, clean=False)
+            if info != 0:
+                return beta, step
+            e = w - v
+            dbeta, dx = newton(e)
+            dx_x, dx_s = dx / x, dx / s
+            dv, dw = -v * (dx_x + 1.0), w * (dx_s - 1.0)
+            fp, fd = _step_length(dx_x, -dx_s), _step_length(dv / v, dw / w)
+            if min(fp, fd) < 1.0:
+                # Corrector: aim at the centring mu the affine step suggests.
+                mu = v @ x + w @ s
+                reach = (v + fd * dv) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
+                mu *= (reach / mu) ** 3 / (2 * m)
+                mu_x, mu_s, cross_v, cross_w = mu / x, mu / s, dx * dv, dx * dw
+                dbeta, dx = newton(e + mu_x - mu_s - cross_v - cross_w)
+                dx_x, dx_s = dx / x, dx / s
+                dv = mu_x - v - v * dx_x - cross_v
+                dw = mu_s - w + w * dx_s + cross_w
+                fp, fd = _step_length(dx_x, -dx_s), _step_length(dv / v, dw / w)
+            x, s = x + fp * dx, s - fp * dx
+            beta, v, w = beta + fd * dbeta, v + fd * dv, w + fd * dw
     return beta, _INTERIOR_STEPS
 
 
-def _step_length(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray) -> float:
-    """_STEP_SHARE of the longest part of the step (da, db) that keeps a and b positive, at most 1."""
-    ratios = [-a[da < 0.0] / da[da < 0.0], -b[db < 0.0] / db[db < 0.0]]
-    return min(1.0, _STEP_SHARE * float(np.min(np.concatenate(ratios), initial=np.inf)))
+def _step_length(*ratios: np.ndarray) -> float:
+    """_STEP_SHARE of the longest part of a step (da, ...) that keeps (a, ...) positive, at most 1.
+
+    Takes the ratios da / a; a NaN (da = a = 0) bounds nothing.
+    """
+    least = min(np.fmin.reduce(ratio, initial=0.0) for ratio in ratios)
+    return 1.0 if -least <= _STEP_SHARE else -_STEP_SHARE / least
+
+
+def _well_conditioned(gram: np.ndarray) -> bool:
+    """Whether the eigenvalues of gram provably lie within a factor 1 / _GRAM_FULL_RANK of each other.
+
+    With the Cholesky factor gram = L L', the largest eigenvalue is at most
+    ||gram||_1 and the reciprocal of the smallest is ||L^-1||_2^2, at most
+    ||L^-1||_1 ||L^-1||_inf. A factor that fails proves nothing.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True)
+    if info != 0:
+        return False
+    inverse = scipy.linalg.lapack.dtrtri(factor, lower=True)[0]
+    bound = np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1) * np.linalg.norm(inverse, np.inf)
+    return bool(bound * _GRAM_FULL_RANK < 1.0)
 
 
 def _degenerate_certificate(exact: np.ndarray, pull: np.ndarray) -> bool:

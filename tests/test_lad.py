@@ -236,6 +236,50 @@ def scenario_instances():
         yield state.model.loadings[rows], z[rows]
 
 
+def gemm_interior_point(design, beta, residual):
+    """The Frisch-Newton steps as pfa 0.8.0 took them: the reference for `lad._interior_point`.
+
+    X'QX is a general product (X' * q) @ X, the Cholesky calls check their
+    input, and each step length masks and concatenates its ratios.
+    """
+    m = design.shape[0]
+    x, s = np.full(m, 0.5), np.full(m, 0.5)
+    residual = np.where(residual == 0.0, -0.001, residual)
+    v, w = np.maximum(-residual, 0.0), np.maximum(residual, 0.0)
+
+    def newton(q, factor, target):
+        dbeta = scipy.linalg.cho_solve(factor, design.T @ (q * target))
+        return dbeta, q * (target - design @ dbeta)
+
+    def step_length(a, b, da, db):
+        ratios = [-a[da < 0.0] / da[da < 0.0], -b[db < 0.0] / db[db < 0.0]]
+        return min(1.0, pfa.lad._STEP_SHARE * float(np.min(np.concatenate(ratios), initial=np.inf)))
+
+    for step in range(pfa.lad._INTERIOR_STEPS):
+        q = 1.0 / (v / x + w / s)
+        try:
+            factor = scipy.linalg.cho_factor((design.T * q) @ design)
+        except np.linalg.LinAlgError:
+            return beta, step
+        e = w - v
+        dbeta, dx = newton(q, factor, e)
+        dv, dw = -v * (dx / x + 1.0), w * (dx / s - 1.0)
+        fp, fd = step_length(x, s, dx, -dx), step_length(v, w, dv, dw)
+        if min(fp, fd) < 1.0:
+            mu = v @ x + w @ s
+            reach = (v + fd * dv) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
+            mu *= (reach / mu) ** 3 / (2 * m)
+            xi = mu * (1.0 / x - 1.0 / s)
+            cross_v, cross_w = dx * dv, -dx * dw
+            dbeta, dx = newton(q, factor, e + xi - cross_v + cross_w)
+            dv = mu / x - v - v * dx / x - cross_v
+            dw = mu / s - w + w * dx / s - cross_w
+            fp, fd = step_length(x, s, dx, -dx), step_length(v, w, dv, dw)
+        x, s = x + fp * dx, s - fp * dx
+        beta, v, w = beta + fd * dbeta, v + fd * dv, w + fd * dw
+    return beta, pfa.lad._INTERIOR_STEPS
+
+
 class TestLadMatchesLinearProgram:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed):
@@ -293,22 +337,78 @@ class TestLadMatchesLinearProgram:
             assert fit.iterations - pfa.lad._INTERIOR_STEPS < design.shape[1] / 2
 
     def test_failed_factorization_starts_from_least_squares(self, monkeypatch):
+        # A Cholesky factor that fails ends the interior steps before the first, and sends the rank
+        # test to the SVD: the fit is then the one with no interior steps at all.
+        instances = [random_instance(1), next(scenario_instances())]
+        with monkeypatch.context() as patch:
+            patch.setattr(pfa.lad, "_INTERIOR_STEPS", 0)
+            from_least_squares = [lad_regress(*instance) for instance in instances]
         calls = []
 
-        def singular(*args, **kwargs):
+        def singular(a, *args, **kwargs):
             calls.append(1)
-            raise np.linalg.LinAlgError("not positive definite")
+            return a, 1  # LAPACK's info: the leading minor of order 1 is not positive definite
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
-        for design, z in [random_instance(1), next(scenario_instances())]:
-            self._check(design, z)
-        assert len(calls) == 2
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", singular)
+        for (design, z), expected in zip(instances, from_least_squares):
+            fit = lad_regress(design, z)
+            assert fit.objective <= highs_objective(design, z) * (1.0 + 1e-9)
+            assert fit.w_hat.tobytes() == expected.w_hat.tobytes()
+            assert (fit.objective, fit.iterations, fit.converged) == (expected.objective, expected.iterations, True)
+        assert len(calls) == 4  # the rank test's and the first interior step's, in each fit
 
     @staticmethod
     def _check(design, z):
         fit = lad_regress(design, z)
         assert fit.converged
         assert fit.objective <= highs_objective(design, z) * (1.0 + 1e-9)
+
+
+def assert_same_fit(fit, reference):
+    assert fit.w_hat.tobytes() == reference.w_hat.tobytes()
+    assert (fit.objective, fit.iterations, fit.converged) == (reference.objective, reference.iterations, reference.converged)
+
+
+class TestInteriorStepMatchesGemmStep:
+    """`lad._interior_point` (one SYRK a step) gives the fits of the 0.8.0 steps, `gemm_interior_point`.
+
+    Its iterates differ from the reference's in their last bits. The first
+    basis is taken in index order, so a fit depends only on which rows the
+    iterate ranks first, and that set is the same.
+    """
+
+    @staticmethod
+    def _fits(monkeypatch, design, z):
+        fit = lad_regress(design, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(pfa.lad, "_interior_point", gemm_interior_point)
+            return fit, lad_regress(design, z)
+
+    def test_scenario_calibration_fits(self, monkeypatch):
+        for design, z in scenario_instances():
+            assert_same_fit(*self._fits(monkeypatch, design, z))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_instances(self, monkeypatch, seed):
+        fit, reference = self._fits(monkeypatch, *random_instance(seed))
+        if seed % 3 == 0 and fit.w_hat.tobytes() != reference.w_hat.tobytes():
+            # Integer data with ties can have a whole face of optimal vertices, and a last-bit change in
+            # the iterate may pick another of them (3 of these 50 on x86-64 with OpenBLAS 0.3.31).
+            assert fit.converged and reference.converged
+            assert fit.objective == pytest.approx(reference.objective, rel=1e-12)
+        else:
+            assert_same_fit(fit, reference)
+
+
+class TestWellConditioned:
+    @pytest.mark.parametrize("kappa, expected", [(1.0, True), (1e2, True), (1e4, True), (1e9, False), (1e13, False)])
+    def test_bound_on_the_eigenvalue_ratio(self, kappa, expected):
+        basis, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((8, 8)))
+        gram = (basis * np.geomspace(1.0, 1.0 / kappa, 8)) @ basis.T
+        assert pfa.lad._well_conditioned((gram + gram.T) / 2.0) is expected
+
+    def test_singular_gram_proves_nothing(self):
+        assert pfa.lad._well_conditioned(np.ones((3, 3))) is False
 
 
 class TestLsRegress:
