@@ -62,7 +62,8 @@ def main() -> None:
             seconds[r, i] = time.perf_counter() - start
     ms = 1e3 * seconds.ravel()
     q1, median, q3 = np.percentile(ms, [25, 50, 75])
-    pivots = np.array([fit.iterations for fit in results]) - lad._INTERIOR_STEPS
+    # An exact least-squares fit takes no interior steps and no pivots (iterations == 0).
+    pivots = np.maximum(np.array([fit.iterations for fit in results]) - lad._INTERIOR_STEPS, 0)
     shapes = sorted({design.shape for design, _ in fits})
     print(f"fits: {len(fits)} ({', '.join(f'm={m} k={k}' for m, k in shapes)}), rounds: {args.rounds}")
     print(f"ms per fit: {median:.2f} [{q1:.2f}, {q3:.2f}]")

@@ -200,7 +200,7 @@ def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) 
     transposed = np.ascontiguousarray(design.T)
     scaled = np.empty_like(transposed)
 
-    def newton(target):
+    def newton(q, factor, target):
         dbeta = scipy.linalg.lapack.dpotrs(factor, transposed @ (q * target), lower=True)[0]
         return dbeta, q * (target - dbeta @ transposed)
 
@@ -215,7 +215,7 @@ def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) 
             if info != 0:
                 return beta, step
             e = w - v
-            dbeta, dx = newton(e)
+            dbeta, dx = newton(q, factor, e)
             dx_x, dx_s = dx / x, dx / s
             dv, dw = -v * (dx_x + 1.0), w * (dx_s - 1.0)
             fp, fd = _step_length(dx_x, -dx_s), _step_length(dv / v, dw / w)
@@ -225,7 +225,7 @@ def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) 
                 reach = (v + fd * dv) @ (x + fp * dx) + (w + fd * dw) @ (s - fp * dx)
                 mu *= (reach / mu) ** 3 / (2 * m)
                 mu_x, mu_s, cross_v, cross_w = mu / x, mu / s, dx * dv, dx * dw
-                dbeta, dx = newton(e + mu_x - mu_s - cross_v - cross_w)
+                dbeta, dx = newton(q, factor, e + mu_x - mu_s - cross_v - cross_w)
                 dx_x, dx_s = dx / x, dx / s
                 dv = mu_x - v - v * dx_x - cross_v
                 dw = mu_s - w + w * dx_s + cross_w

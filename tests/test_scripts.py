@@ -78,3 +78,22 @@ def test_stream_spread_study_script(tmp_path):
     assert grid["formula"] == result["var_numerator_all"]
     assert grid["schemes"]["one_stream"]["by_n_reps"]["40"]["var_V"] == result["var_V_empirical"]
     assert grid["schemes"]["per_replication"]["by_n_reps"]["40"]["var_V"] != result["var_V_empirical"]
+
+
+def test_lad_timing_script():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    args = ["--seeds", "1,2", "--reps", "2", "--rounds", "2", "--p", "200", "--n", "40", "--p1", "4"]
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_lad_fits.py"), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = completed.stdout.splitlines()
+    assert lines[0].startswith("fits: 4 (m=150 k=")
+    assert lines[1].startswith("ms per fit: ")
+    assert lines[2].startswith("pivots: p50 ")
+    assert lines[3] == "certified: 1.000"
