@@ -36,7 +36,7 @@ def calibration_fits(args):
         for _, statistics in _draw_statistics(config, state):
             for z in statistics:
                 rows = lad.select_calibration_set(z, config.calibration_fraction)
-                fits.append((np.ascontiguousarray(state.model.loadings[rows]), z[rows]))
+                fits.append((state.model.loadings[rows], z[rows]))
     return fits
 
 

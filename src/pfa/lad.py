@@ -94,7 +94,7 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     the largest |u_j| leaves, and an exact line search along the edge that
     frees it picks the row that enters. The first basis is the k rows with
     the smallest residuals after the interior-point steps of
-    `_interior_point`, which start from the least-squares fit, taken in
+    `_interior_point` (which start from the least-squares fit), taken in
     index order so that the fit depends on that set alone and not on the
     last bits of the residuals that rank it;
     `iterations` counts those steps plus the pivots. Each pivot lowers the
@@ -204,7 +204,7 @@ def _interior_point(design: np.ndarray, beta: np.ndarray, residual: np.ndarray) 
         dbeta = scipy.linalg.lapack.dpotrs(factor, transposed @ (q * target), lower=True)[0]
         return dbeta, q * (target - dbeta @ transposed)
 
-    # A multiplier at 0 (v or w, before the first corrector) gives 0/0 in its step ratio.
+    # A multiplier still at 0 (v or w, before the first corrector) has a step ratio of 0/0 or +-inf.
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(_INTERIOR_STEPS):
             q = 1.0 / (v / x + w / s)

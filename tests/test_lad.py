@@ -366,7 +366,8 @@ class TestLadMatchesLinearProgram:
 
 def assert_same_fit(fit, reference):
     assert fit.w_hat.tobytes() == reference.w_hat.tobytes()
-    assert (fit.objective, fit.iterations, fit.converged) == (reference.objective, reference.iterations, reference.converged)
+    outcome = (reference.objective, reference.iterations, reference.converged)
+    assert (fit.objective, fit.iterations, fit.converged) == outcome
 
 
 class TestInteriorStepMatchesGemmStep:
