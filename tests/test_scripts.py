@@ -26,30 +26,35 @@ SCRIPTS = {
 }
 
 
-def run_script(name, out_dir):
+def run_script(name, *args):
+    """stdout of scripts/<name> run with args; it must exit 0."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     completed = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *SCRIPTS[name], "--out", str(out_dir)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert f"written to {out_dir}" in completed.stdout
+    return completed.stdout
+
+
+def run_preset(name, out_dir):
+    assert f"written to {out_dir}" in run_script(name, *SCRIPTS[name], "--out", str(out_dir))
 
 
 @pytest.mark.parametrize("name", ["run_estimator_comparison.py", "run_fdr_comparison.py"])
 def test_experiment_scripts_write_loadable_output(tmp_path, name):
-    run_script(name, tmp_path)
+    run_preset(name, tmp_path)
     for kind in SCENARIO_KINDS:
         output = load_output(tmp_path / kind)
         assert output.config.scenario.kind == kind
 
 
 def test_variance_study_script(tmp_path):
-    run_script("run_variance_study.py", tmp_path)
+    run_preset("run_variance_study.py", tmp_path)
     for kind in SCENARIO_KINDS:
         result = json.loads((tmp_path / f"{kind}.json").read_text())
         assert result["config"]["scenario"]["kind"] == kind
@@ -57,7 +62,7 @@ def test_variance_study_script(tmp_path):
 
 
 def test_convergence_study_script(tmp_path):
-    run_script("run_convergence_study.py", tmp_path)
+    run_preset("run_convergence_study.py", tmp_path)
     summary = json.loads((tmp_path / "convergence_summary.json").read_text())
     assert set(summary["ks"]["0.05"]) == {"40", "60"}
     for p in (40, 60):
@@ -65,7 +70,7 @@ def test_convergence_study_script(tmp_path):
 
 
 def test_stream_spread_study_script(tmp_path):
-    run_script("run_stream_spread_study.py", tmp_path)
+    run_preset("run_stream_spread_study.py", tmp_path)
     study = json.loads((tmp_path / "stream_spread.json").read_text())
     assert [run["seed"] for run in study["spread"]] == [1, 2]
     grid = study["reps_grid"]
@@ -81,18 +86,8 @@ def test_stream_spread_study_script(tmp_path):
 
 
 def test_lad_timing_script():
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     args = ["--seeds", "1,2", "--reps", "2", "--rounds", "2", "--p", "200", "--n", "40", "--p1", "4"]
-    completed = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "time_lad_fits.py"), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    lines = completed.stdout.splitlines()
+    lines = run_script("time_lad_fits.py", *args).splitlines()
     assert lines[0].startswith("fits: 4 (m=150 k=")
     assert lines[1].startswith("ms per fit: ")
     assert lines[2].startswith("pivots: p50 ")
