@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time `lad_regress` on the calibration fits of an estimator study.
 
-Builds the fits that `run_experiment` makes with estimators on (by default
-two_factor, p = 1000, n = 100, p1 = 50, calibration fraction 0.75,
-epsilon = 0.01): for each seed, the scenario's factor model and one
-calibration set per replication. Then it times every fit once per round,
-in the same order each round, so that slow spells of the machine spread
-over all fits. Prints ms per fit as median [q1, q3] over every timed call,
-the pivots per fit (iterations beyond the interior steps) at p50 and max,
-and the share of fits certified optimal.
+Builds the fits that `run_experiment` makes with estimators on (two_factor,
+calibration fraction 0.75 and epsilon = 0.01 as in the estimator study; by
+default p = 1000, n = 100, p1 = 50): for each seed, the scenario's factor
+model and one calibration set per replication. Then it times every fit
+once per round, in the same order each round, so that slow spells of the
+machine spread over all fits. Prints ms per fit as median [q1, q3] over
+every timed call, the pivots per fit (iterations beyond the interior
+steps) at p50 and max, and the share of fits certified optimal.
 
     PYTHONPATH=src python scripts/time_lad_fits.py --seeds 1,2,3 --reps 20 --rounds 12
 """
@@ -29,8 +29,8 @@ def calibration_fits(args):
     fits = []
     for seed in args.seeds:
         config = ExperimentConfig(
-            scenario=scenario, t_grid=(0.005,), n_reps=args.reps, seed=seed, epsilon=args.epsilon,
-            calibration_fraction=args.fraction,
+            scenario=scenario, t_grid=(0.005,), n_reps=args.reps, seed=seed,
+            epsilon=0.01, calibration_fraction=0.75,
         )
         state = prepare_scenario(config)
         for _, statistics in _draw_statistics(config, state):
@@ -48,8 +48,6 @@ def main() -> None:
     parser.add_argument("--p", type=int, default=1000)
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument("--p1", type=int, default=50)
-    parser.add_argument("--fraction", type=float, default=0.75)
-    parser.add_argument("--epsilon", type=float, default=0.01)
     args = parser.parse_args()
 
     fits = calibration_fits(args)

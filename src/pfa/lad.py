@@ -41,9 +41,8 @@ _DUAL_TOL = 1e-9
 _PIVOTS_PER_FACTOR = 20
 # A starting basis whose 1-norm condition number exceeds this is replaced.
 _MAX_CONDITION = 1e12
-# A Gram matrix whose smallest eigenvalue provably exceeds this share of its
-# largest has full rank beyond rounding doubt; any other design gets the SVD
-# test.
+# A Gram matrix whose smallest eigenvalue exceeds this share of its largest
+# has full rank beyond rounding doubt; any other design gets the SVD test.
 _GRAM_FULL_RANK = 1e-8
 
 
@@ -110,7 +109,8 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     if m < k:
         raise ValueError(f"need at least as many rows as factors: m={m}, k={k}")
     gram = design.T @ design
-    if not _well_conditioned(gram) and np.linalg.matrix_rank(design) < k:
+    spectrum = np.linalg.eigvalsh(gram)
+    if spectrum[0] <= _GRAM_FULL_RANK * spectrum[-1] and np.linalg.matrix_rank(design) < k:
         raise RankDeficientError(f"design has rank below {k}")
 
     band = _ZERO_BAND * max(1.0, float(np.max(np.abs(z))))
@@ -242,21 +242,6 @@ def _step_length(*ratios: np.ndarray) -> float:
     """
     least = min(np.fmin.reduce(ratio, initial=0.0) for ratio in ratios)
     return 1.0 if -least <= _STEP_SHARE else -_STEP_SHARE / least
-
-
-def _well_conditioned(gram: np.ndarray) -> bool:
-    """Whether the eigenvalues of gram provably lie within a factor 1 / _GRAM_FULL_RANK of each other.
-
-    With the Cholesky factor gram = L L', the largest eigenvalue is at most
-    ||gram||_1 and the reciprocal of the smallest is ||L^-1||_2^2, at most
-    ||L^-1||_1 ||L^-1||_inf. A factor that fails proves nothing.
-    """
-    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True)
-    if info != 0:
-        return False
-    inverse = scipy.linalg.lapack.dtrtri(factor, lower=True)[0]
-    bound = np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1) * np.linalg.norm(inverse, np.inf)
-    return bool(bound * _GRAM_FULL_RANK < 1.0)
 
 
 def _degenerate_certificate(exact: np.ndarray, pull: np.ndarray) -> bool:

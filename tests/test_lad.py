@@ -19,6 +19,7 @@ from pfa.lad import (
 )
 from pfa.linalg import equal_correlation, spectral_decompose
 from pfa.simulate import Scenario
+from test_golden import RECORDED_ON, _platform
 
 
 def l1_objective(design, z, beta):
@@ -337,8 +338,8 @@ class TestLadMatchesLinearProgram:
             assert fit.iterations - pfa.lad._INTERIOR_STEPS < design.shape[1] / 2
 
     def test_failed_factorization_starts_from_least_squares(self, monkeypatch):
-        # A Cholesky factor that fails ends the interior steps before the first, and sends the rank
-        # test to the SVD: the fit is then the one with no interior steps at all.
+        # A Cholesky factor that fails ends the interior steps before the first: the fit is then the
+        # one with no interior steps at all.
         instances = [random_instance(1), next(scenario_instances())]
         with monkeypatch.context() as patch:
             patch.setattr(pfa.lad, "_INTERIOR_STEPS", 0)
@@ -355,7 +356,7 @@ class TestLadMatchesLinearProgram:
             assert fit.objective <= highs_objective(design, z) * (1.0 + 1e-9)
             assert fit.w_hat.tobytes() == expected.w_hat.tobytes()
             assert (fit.objective, fit.iterations, fit.converged) == (expected.objective, expected.iterations, True)
-        assert len(calls) == 4  # the rank test's and the first interior step's, in each fit
+        assert len(calls) == 2  # the first interior step's, in each fit
 
     @staticmethod
     def _check(design, z):
@@ -375,43 +376,36 @@ class TestInteriorStepMatchesGemmStep:
 
     Its iterates differ from the reference's in their last bits. The first
     basis is taken in index order, so a fit depends only on which rows the
-    iterate ranks first, and that set is the same.
+    iterate ranks first, and that set is the same. Which set that is can
+    turn on a last bit, so, like the golden digests, the bytes are compared
+    only on the platform `test_golden.RECORDED_ON`; elsewhere both fits must
+    be certified at the same optimal objective.
     """
 
+    # Integer-valued instances with ties, which have a whole face of optimal vertices: on the
+    # recorded platform the two steps' last-bit difference picks another of them.
+    TIED = (9, 30, 48)
+
     @staticmethod
-    def _fits(monkeypatch, design, z):
+    def _check(monkeypatch, design, z, same_bytes):
         fit = lad_regress(design, z)
         with monkeypatch.context() as patch:
             patch.setattr(pfa.lad, "_interior_point", gemm_interior_point)
-            return fit, lad_regress(design, z)
+            reference = lad_regress(design, z)
+        if same_bytes and _platform() == RECORDED_ON:
+            assert_same_fit(fit, reference)
+        else:
+            assert fit.converged and reference.converged
+            assert fit.objective == pytest.approx(reference.objective, rel=1e-12)
+            assert fit.objective <= highs_objective(design, z) * (1.0 + 1e-9)
 
     def test_scenario_calibration_fits(self, monkeypatch):
         for design, z in scenario_instances():
-            assert_same_fit(*self._fits(monkeypatch, design, z))
+            self._check(monkeypatch, design, z, same_bytes=True)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_instances(self, monkeypatch, seed):
-        fit, reference = self._fits(monkeypatch, *random_instance(seed))
-        same_path = fit.w_hat.tobytes() == reference.w_hat.tobytes() and fit.iterations == reference.iterations
-        if seed % 3 == 0 and not same_path:
-            # Integer data with ties can have a whole face of optimal vertices, and a last-bit change in
-            # the iterate may pick another of them or reach one by another path (3 of these 50 on x86-64
-            # with OpenBLAS 0.3.31).
-            assert fit.converged and reference.converged
-            assert fit.objective == pytest.approx(reference.objective, rel=1e-12)
-        else:
-            assert_same_fit(fit, reference)
-
-
-class TestWellConditioned:
-    @pytest.mark.parametrize("kappa, expected", [(1.0, True), (1e2, True), (1e4, True), (1e9, False), (1e13, False)])
-    def test_bound_on_the_eigenvalue_ratio(self, kappa, expected):
-        basis, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((8, 8)))
-        gram = (basis * np.geomspace(1.0, 1.0 / kappa, 8)) @ basis.T
-        assert pfa.lad._well_conditioned((gram + gram.T) / 2.0) is expected
-
-    def test_singular_gram_proves_nothing(self):
-        assert pfa.lad._well_conditioned(np.ones((3, 3))) is False
+        self._check(monkeypatch, *random_instance(seed), same_bytes=seed not in self.TIED)
 
 
 class TestLsRegress:
