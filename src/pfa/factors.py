@@ -96,6 +96,8 @@ def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
     if values[-1] < 0.0:
         raise ValueError("eigenvalues must be clamped nonnegative")
     loadings = system.vectors[:, :k] * np.sqrt(values[:k])
+    # Each column's largest entry in magnitude (the first, on ties) made positive: no output rests on solver signs.
+    loadings *= np.where(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(k)] < 0.0, -1.0, 1.0)
     residual = 1.0 - np.sum(np.square(loadings), axis=1)
     degenerate = np.flatnonzero(residual < DEGENERATE_RESIDUAL)
     a = np.full(p, A_CAP)

@@ -89,7 +89,8 @@ class EigenSystem:
     """Leading eigenpairs of a p x p symmetric PSD matrix, eigenvalues descending.
 
     `values` may hold fewer than p eigenvalues, and `vectors` (p rows) has
-    orthonormal eigenvector columns for the leading ones. `trace` is the sum
+    r orthonormal eigenvector columns for the leading ones, r <= len(values)
+    (`gram_spectrum` holds r <= min(n, p), the nonzero ones). `trace` is the sum
     of all p eigenvalues and `tail_sq[k]`, for k = 0..len(values), the sum
     of the squares of all but the first k. Left out, both are computed from
     `values` taken as the whole spectrum.
@@ -184,13 +185,22 @@ def _check_psd(scratch: np.ndarray, floor: float) -> None:
 
 
 def gram_spectrum(x: np.ndarray) -> EigenSystem:
-    """Eigensystem of x'x from a thin SVD of the n x p matrix x, never forming x'x.
+    """Eigensystem of x'x for the n x p matrix x from the smaller Gram, never forming x'x when n < p.
 
-    Eigenvalues: the squared singular values, zero-padded to length p.
-    Vectors: the min(n, p) right singular vectors.
+    The m x m Gram (xx' when n < p, else x'x) is decomposed; its r eigenvalues
+    above the solver's own error m * eps * lambda_1 are those of x'x.
+    Eigenvalues: those r, descending, then exactly 0 up to length p.
+    Vectors: r <= min(n, p) orthonormal columns, x'u / sqrt(lambda) for each
+    eigenvector u of xx' (the eigenvectors themselves when n >= p).
     """
     x = np.asarray(x, dtype=float)
-    vectors, singular, _ = np.linalg.svd(x.T, full_matrices=False)
-    values = np.zeros(x.shape[1])
-    values[: singular.size] = np.square(singular)
-    return EigenSystem(values=values, vectors=vectors)
+    wide = x.shape[0] < x.shape[1]
+    values, basis = np.linalg.eigh(x @ x.T if wide else x.T @ x)
+    values, basis = values[::-1], basis[:, ::-1]
+    r = int(np.count_nonzero(values > values.size * np.finfo(float).eps * values[0]))
+    vectors = x.T @ basis[:, :r] if wide else np.ascontiguousarray(basis[:, :r])
+    if wide:
+        vectors /= np.sqrt(values[:r])  # in place: the p x r projection is the largest array here
+    spectrum = np.zeros(x.shape[1])
+    spectrum[:r] = values[:r]
+    return EigenSystem(values=spectrum, vectors=vectors)

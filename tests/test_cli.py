@@ -1,11 +1,14 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from pfa import cli
 from pfa.cli import main
 from pfa.factors import build_factor_model, select_num_factors, standard_factor_draws
-from pfa.fdr import approx_fdr
+from pfa.fdr import UnreachableAlphaError, approx_fdr
 from pfa.harness import run_estimate
 from pfa.linalg import equal_correlation, spectral_decompose
 from pfa.simulate import Scenario, generate_design, sample_correlation
@@ -210,6 +213,25 @@ class TestControlCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["unreachable"] is True
         assert payload["side"] == "high"
+
+    def test_the_matrix_is_released_before_the_solve(self, monkeypatch, capsys):
+        matrices, alive_at_solve = [], []
+
+        def read_matrix(path):
+            sigma = equal_correlation(300, 0.3)
+            matrices.extend([weakref.ref(sigma), weakref.ref(sigma.entries)])
+            return sigma
+
+        def solve(*args, **kwargs):
+            gc.collect()
+            alive_at_solve.extend(ref() is not None for ref in matrices)
+            raise UnreachableAlphaError(0.1, 0.5, 0.2, "high")
+
+        monkeypatch.setattr(cli, "read_matrix_csv", read_matrix)
+        monkeypatch.setattr(cli, "solve_threshold", solve)
+        assert main(["control", "--sigma", "unused.csv", "--p1", "5", "--alpha", "0.1", "--mc", "50"]) == 3
+        assert alive_at_solve == [False, False]
+        assert json.loads(capsys.readouterr().out)["unreachable"] is True
 
 
 class TestArgumentsCheckedBeforeFiles:

@@ -19,8 +19,13 @@ from pfa.factors import (
 from pfa.fdr import _CURVE_GRID, _T_LOW, solve_threshold
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
-from pfa.linalg import EigenSystem, equal_correlation, spectral_decompose
+from pfa.linalg import CorrelationMatrix, EigenSystem, equal_correlation, spectral_decompose
 from pfa.simulate import Scenario
+
+
+def unit_columns(x):
+    """x with each column scaled to unit Euclidean norm."""
+    return x / np.linalg.norm(x, axis=0)
 
 
 def exchangeable_model(p, rho):
@@ -154,6 +159,28 @@ class TestBuildFactorModel:
             assert np.sum(model.loadings[:, h] ** 2) == pytest.approx(
                 system.values[h], abs=1e-8
             )
+
+    @pytest.mark.parametrize("flipped", [(0,), (3,), (1, 4), (0, 1, 2, 3, 4, 5)])
+    def test_negated_eigenvectors_give_the_same_model_bytes(self, flipped):
+        x = np.random.default_rng(11).standard_normal((30, 80))
+        system = spectral_decompose(CorrelationMatrix.from_gram(unit_columns(x).T @ unit_columns(x)))
+        vectors = system.vectors.copy()
+        vectors[:, list(flipped)] *= -1.0
+        base = build_factor_model(system, 6)
+        negated = build_factor_model(EigenSystem(system.values, vectors), 6)
+        for name in ("loadings", "a", "eigenvalues", "degenerate_rows"):
+            assert getattr(base, name).tobytes() == getattr(negated, name).tobytes(), name
+
+    def test_largest_entry_of_each_loading_column_is_positive(self):
+        system = spectral_decompose(equal_correlation(40, 0.6))
+        model = build_factor_model(EigenSystem(system.values, -system.vectors), 3)
+        largest = model.loadings[np.argmax(np.abs(model.loadings), axis=0), np.arange(3)]
+        assert np.all(largest > 0.0)
+
+    def test_a_tie_goes_to_the_first_index(self):
+        vectors = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
+        model = build_factor_model(EigenSystem(values=np.array([0.5, 0.25, 0.0]), vectors=vectors), 1)
+        np.testing.assert_array_equal(np.sign(model.loadings[:, 0]), [1.0, -1.0, 0.0])
 
 
 class TestNumeratorAtOneRealization:

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "ccc2b5e90f0e5f98df35e7d8e9f84863426d5626e447678986142f339a7440c9",
-        "estimate.json": "f3cbc51acc435ae519e6db1eda0f7e20b11df9351fc812b4b55f7e6fb5824b6e",
+        "control.json": "016d5bc715b42962bef1abfe541100610f97e5e39e751b48439bb14e57aaed89",
+        "estimate.json": "a61ec5d1102419eaa4dd5fdc74525a19f834a269dcef7bc7967f386d802f58fc",
     },
     "convergence": {
-        "convergence_p40_t0.05.csv": "a1952e95fa1c364f9bb9e192f41b300406139f14208ebdbb5aef165f048a7137",
-        "convergence_p40_t0.1.csv": "e97e89f9d3a209c221b86f3440539f5bbe9164302944b95b8624c36900887023",
-        "convergence_p60_t0.05.csv": "73df56687a3c75a01616c9fa0673ca4fffbb37b7c17bd0a28f4f9d4df1fa65be",
-        "convergence_p60_t0.1.csv": "dbdf92a7e9be3008009c72fdc9495184db4768599665573d1834ebd6d0cc6c1f",
-        "convergence_summary.json": "249cda8fabaada9372b17ec8c25bd68a65c6a094c8032c7a2b39db213c77678e",
+        "convergence_p40_t0.05.csv": "78b9a2a4e7dfb669823f1e9ed6e39887ab6d9ff27180744402952f839bf2ba30",
+        "convergence_p40_t0.1.csv": "ced8f4c0ec992f5fa24236cdf76db5ca368cf22b4511a0a3473d1edacd42fc29",
+        "convergence_p60_t0.05.csv": "39e93a341dedbae6feccd73065c7ac4250e1c855b0b5c0ca6b6aac472616db9b",
+        "convergence_p60_t0.1.csv": "3cac56e6ecc079a4a1b5269e69f887bb2d5322be0142f8589fea3c4bd8572506",
+        "convergence_summary.json": "032b91460bf821613411809fff031132023d2c3dfd507a24f1710468d81d35e0",
     },
     "experiment": {
-        "aggregates.json": "40a828fc4a4ab5fee4f55f26068080f4e7821a1e5d81fc72bfdbc2681948ee37",
-        "records.csv": "b32affa1d3ccc6b38578ed7529d041193ac968ca0bb6c010d2fdebceb8817f90",
+        "aggregates.json": "9861520fa6e6218335de6eb20b11b2a5a2c3d4c4a51dde492fa44d29a70157c5",
+        "records.csv": "b2a8fa8f5e214ac6e992cc44218874fd7a0875383b261357ddb3332375e18f7b",
     },
     "experiment_no_estimators": {
-        "aggregates.json": "f7e54cd031fdf73dcb0621b95ddd973170b799527fd0f4dd15c743827f1932da",
+        "aggregates.json": "dcd7f2ca1b5a1558fa5b67bb3e7c89cc392a47f48b41b5543948b2f62a919673",
         "records.csv": "99fa1025c8d6773b8bf20a938c5c24566da393ad10ad96a881e5c500ca6958f8",
     },
     "variance_study": {
-        "variance.json": "cb025d468d2d8749679d824cd5bb04be2da60d8f67819bf3eb8ebb4aff79625d",
+        "variance.json": "8db54fd1032d70f348679ca3305a8b7af0f823dd9b7329651d92b6a342c526c7",
     },
 }
 

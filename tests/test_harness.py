@@ -372,8 +372,12 @@ class TestRunExperiment:
 
 
 def whole_tail_energy(state):
-    """Tail energy at k summed over sigma_hat's whole spectrum, which the harness model holds."""
-    return float(np.sqrt(np.sum(np.square(state.model.eigenvalues[state.k :]))))
+    """Tail energy at k over sigma_hat's whole spectrum, which the harness model holds.
+
+    The squares are summed from the smallest up, in the order `EigenSystem.tail_sq` sums them, so
+    the comparison can be exact.
+    """
+    return float(np.sqrt(np.cumsum(np.square(state.model.eigenvalues)[::-1])[::-1][state.k]))
 
 
 class TestVarianceStudy:

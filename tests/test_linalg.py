@@ -12,6 +12,7 @@ from pfa.linalg import (
     gram_spectrum,
     spectral_decompose,
 )
+from pfa.simulate import Scenario, generate_design, standardize
 
 
 def random_correlation(rng, p, n=None):
@@ -70,6 +71,40 @@ def test_gram_spectrum_matches_dense_decomposition(n, p):
     np.testing.assert_allclose(system.vectors.T @ system.vectors, np.eye(r), atol=1e-12)
     rebuilt = (system.vectors * system.values[:r]) @ system.vectors.T
     np.testing.assert_allclose(rebuilt, x.T @ x, atol=1e-10 * dense[0])
+
+
+def scaled_design(kind, p, n, seed):
+    """Standardized n x p design of a scenario over sqrt(n - 1): x'x is its sample correlation, rank n - 1."""
+    standardized, _ = standardize(generate_design(Scenario(kind=kind, p=p, n=n), np.random.default_rng(seed)))
+    return standardized / np.sqrt(n - 1)
+
+
+@pytest.mark.parametrize("kind, seed", [("two_factor", 1), ("equal_correlation", 2), ("independent_cauchy", 3)])
+def test_gram_spectrum_of_a_centered_design_with_p_much_larger_than_n(kind, seed):
+    n, p = 100, 600
+    x = scaled_design(kind, p, n, seed)
+    system = gram_spectrum(x)
+    r = system.vectors.shape[1]
+    assert r == n - 1  # the centering direction is cut
+    assert system.values.shape == (p,) and np.all(system.values[r:] == 0.0)
+    assert np.all(system.values[:r] > 0.0) and np.all(np.diff(system.values) <= 0.0)
+    np.testing.assert_allclose(system.vectors.T @ system.vectors, np.eye(r), rtol=0, atol=1e-12)
+    rebuilt = (system.vectors * system.values[:r]) @ system.vectors.T
+    np.testing.assert_allclose(rebuilt, x.T @ x, rtol=0, atol=1e-12 * system.values[0])
+    assert system.trace == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 1e-6])
+@pytest.mark.parametrize("kind, seed", [("two_factor", 4), ("equal_correlation", 5), ("fan_song", 6)])
+def test_gram_spectrum_gives_the_dense_factor_model(kind, seed, epsilon):
+    x = scaled_design(kind, 600, 100, seed)
+    system = gram_spectrum(x)
+    dense = spectral_decompose(CorrelationMatrix.from_gram(x.T @ x))
+    k = select_num_factors(system, epsilon)
+    assert select_num_factors(dense, epsilon) == k > 0
+    model, dense_model = build_factor_model(system, k), build_factor_model(dense, k)
+    np.testing.assert_array_equal(model.degenerate_rows, dense_model.degenerate_rows)
+    np.testing.assert_allclose(model.loadings, dense_model.loadings, rtol=0, atol=1e-10)
 
 
 def two_factor_correlation(rng, p, n):
