@@ -119,7 +119,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     _require(args.seed >= 0, f"seed must not be negative, got {args.seed}")
     sigma = read_matrix_csv(args.sigma)
     system = spectral_decompose(sigma, args.epsilon)
-    del sigma  # the p x p matrix would otherwise set the solve's memory peak
+    del sigma  # the only p x p array left, which would otherwise sit under the solve's memory peak
     k = select_num_factors(system, args.epsilon)
     model = build_factor_model(system, k)
     draws = standard_factor_draws(k, args.mc, args.seed)

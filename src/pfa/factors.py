@@ -43,8 +43,11 @@ A_CAP = 1e6
 # Ratio denominators below this count as zero discoveries.
 DENOMINATOR_FLOOR = 1e-300
 
-# Draws are processed in blocks to bound the (n_draws x p) intermediates.
+# Draws are processed in blocks to bound the (n_draws x p) intermediates: the shifts eta = B W
+# of 256 rows come from one matmul (a block size its bits depend on), and the arguments, CDF
+# values and sums from slices of 64 of those rows.
 _DRAW_CHUNK = 256
+_CDF_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,12 @@ def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
         raise ValueError("eigenvalues must be clamped nonnegative")
     loadings = system.vectors[:, :k] * np.sqrt(values[:k])
     # Each column's largest entry in magnitude (the first, on ties) made positive: no output rests on solver signs.
-    loadings *= np.where(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(k)] < 0.0, -1.0, 1.0)
+    # Only a column whose largest and smallest entries tie in magnitude needs the search for the first of them.
+    top, bottom = np.max(loadings, axis=0), np.min(loadings, axis=0)
+    flip = top < -bottom
+    for h in np.flatnonzero(top == -bottom):
+        flip[h] = loadings[np.argmax(np.abs(loadings[:, h])), h] < 0.0
+    loadings *= np.where(flip, -1.0, 1.0)
     residual = 1.0 - np.sum(np.square(loadings), axis=1)
     degenerate = np.flatnonzero(residual < DEGENERATE_RESIDUAL)
     a = np.full(p, A_CAP)
@@ -138,7 +146,7 @@ def numerator_over_draws(
     z_{t/2} an argument a_i (z + s_i) rises at rate a_i >= a_low and c at rate a_low lambda(a_low z)
     / lambda(c) < a_low (the hazard lambda = phi / Phi decreases; c < a_low z), so a term cut at t
     stays cut at every smaller t and the sums stay monotone in t. Thresholds are swept from the
-    largest down on each block's s, a later one forming arguments only where an earlier one kept a
+    largest down on each slice's s, a later one forming arguments only where an earlier one kept a
     term: its sums are a one-threshold call's, bit for bit, but for terms at the cut-off (inside
     the 2^-54 bound) that rounding can drop between thresholds only floats apart.
     """
@@ -154,43 +162,48 @@ def numerator_over_draws(
         negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
         sweep.append((j, z_half, norm_quantile(negligible) if negligible > 0.0 else -np.inf))
     several = len(sweep) > 1
-    # Blocks reused by every chunk; each step writes into one of them. One threshold overwrites
+    # Blocks reused by every slice; each step writes into one of them. One threshold overwrites
     # eta with its "-" arguments; several keep eta, so they take a block for those and a tiled a.
-    terms_block = np.empty((min(_DRAW_CHUNK, n), model.p))
-    eta_block = np.empty_like(terms_block)
-    minus_block = np.empty_like(terms_block) if several else eta_block
+    eta_block = np.empty((min(_DRAW_CHUNK, n), model.p))
+    terms_block = np.empty((min(_CDF_SLICE, eta_block.shape[0]), model.p))
+    minus_block = np.empty_like(terms_block) if several else None
     a_flat = np.tile(model.a, terms_block.shape[0]) if several else None
-    for start in range(0, n, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, n)
-        terms, eta, minus = terms_block[: stop - start], eta_block[: stop - start], minus_block[: stop - start]
-        np.matmul(draws[start:stop], model.loadings.T, out=eta)
+    for chunk in range(0, n, _DRAW_CHUNK):
+        eta_chunk = eta_block[: min(_DRAW_CHUNK, n - chunk)]
+        np.matmul(draws[chunk : chunk + eta_chunk.shape[0]], model.loadings.T, out=eta_chunk)
         if shift is not None:
-            eta += shift
-        kept = None
-        for j, z_half, cut in sweep:
-            if kept is None:
-                np.add(eta, z_half, out=terms)
-                np.multiply(terms, model.a, out=terms)
-                np.subtract(z_half, eta, out=minus)
-                np.multiply(minus, model.a, out=minus)
-                kept = [_cdf_above(args, cut, eta, a_flat) for args in (terms, minus)]
-                terms += minus
-            else:
-                terms.fill(0.0)
-                for side, (at, eta_kept, a_kept) in enumerate(kept):
-                    args = eta_kept + z_half if side == 0 else z_half - eta_kept
-                    args *= a_kept
-                    above = np.flatnonzero(args > cut)
-                    values, at_above = args.take(above), at.take(above)
-                    if 2 * above.size < at.size:  # forming an argument costs less than compressing it
-                        kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
-                    terms.ravel()[at_above] += norm_cdf(values, out=values)
-            over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
-            if nulls is not None:
-                # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
-                gathered = minus.ravel()[: minus.shape[0] * len(nulls)].reshape(minus.shape[0], len(nulls))
-                sums = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
-                over_nulls.reshape(-1, n)[j, start:stop] = sums
+            eta_chunk += shift
+        for offset in range(0, eta_chunk.shape[0], _CDF_SLICE):
+            eta = eta_chunk[offset : offset + _CDF_SLICE]
+            rows = eta.shape[0]
+            start, stop = chunk + offset, chunk + offset + rows
+            terms = terms_block[:rows]
+            minus = minus_block[:rows] if several else eta
+            kept = None
+            for j, z_half, cut in sweep:
+                if kept is None:
+                    np.add(eta, z_half, out=terms)
+                    np.multiply(terms, model.a, out=terms)
+                    np.subtract(z_half, eta, out=minus)
+                    np.multiply(minus, model.a, out=minus)
+                    kept = [_cdf_above(args, cut, eta, a_flat) for args in (terms, minus)]
+                    terms += minus
+                else:
+                    terms.fill(0.0)
+                    for side, (at, eta_kept, a_kept) in enumerate(kept):
+                        args = eta_kept + z_half if side == 0 else z_half - eta_kept
+                        args *= a_kept
+                        above = np.flatnonzero(args > cut)
+                        values, at_above = args.take(above), at.take(above)
+                        if 2 * above.size < at.size:  # forming an argument costs less than compressing it
+                            kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
+                        terms.ravel()[at_above] += norm_cdf(values, out=values)
+                over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
+                if nulls is not None:
+                    # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
+                    gathered = minus.ravel()[: rows * len(nulls)].reshape(rows, len(nulls))
+                    sums = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
+                    over_nulls.reshape(-1, n)[j, start:stop] = sums
     return over_all, over_nulls
 
 

@@ -12,8 +12,9 @@ itself. So output is bit-identical for a given config and seed.
 
 The p x p sample correlation Sigma = X'X / (n-1) of the standardized n x p
 design X has rank below n, and no harness path forms it: its spectrum comes
-from a thin SVD of X, and each replication draws n standard normals g and
-takes mu + X'g / sqrt(n-1), which is exactly N(mu, Sigma), at O(np) a draw.
+from the n x n Gram XX' (`gram_spectrum`), and each replication draws n
+standard normals g and takes mu + X'g / sqrt(n-1), which is exactly
+N(mu, Sigma), at O(np) a draw.
 
 Outputs are a per-replication CSV plus an aggregates JSON that embeds the
 config, seed, and library version; the loader recomputes the record-derived
@@ -583,16 +584,32 @@ def _read_csv(path: Path, width: int | None) -> np.ndarray:
     is read again by `_scan_csv`, which names the bad line and also takes
     the spellings only Python's `float` accepts (`1_0`, non-ASCII digits).
     Both round correctly, so a file both accept gives the same bits.
+
+    Given the file's line count as its row limit, the C reader allocates
+    the array once instead of growing it by reallocation, which leaves
+    freed blocks of up to the array's size behind in the heap.
     """
     try:
         with path.open(encoding="utf-8") as handle, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; `_scan_csv` reports it
-            entries = np.loadtxt(handle, delimiter=",", dtype=float, ndmin=2, comments=None)
+            rows = _line_count(path)
+            entries = np.loadtxt(handle, delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=rows)
     except ValueError:
         return _scan_csv(path, width)
     if entries.size and width in (None, entries.shape[1]) and np.all(np.isfinite(entries)):
         return entries
     return _scan_csv(path, width)
+
+
+def _line_count(path: Path) -> int | None:
+    """Lines of a file whose only line break is \\n, a bound on its rows; None when it holds a \\r."""
+    breaks, last = 0, b""
+    with path.open("rb") as raw:
+        for block in iter(lambda: raw.read(1 << 16), b""):
+            if b"\r" in block:
+                return None
+            breaks, last = breaks + block.count(b"\n"), block
+    return breaks + (not last.endswith(b"\n"))
 
 
 def _scan_csv(path: Path, width: int | None) -> np.ndarray:

@@ -8,7 +8,10 @@ tolerance.
 A decomposition may hold only the leading eigenpairs. What the factor-count
 rule needs from the rest of the spectrum, its sum and its sum of squares,
 comes from the trace and from the Frobenius norm of the entries:
-tail^2(k) = ||Sigma||_F^2 - sum_{i<=k} lambda_i^2.
+tail^2(k) = ||Sigma||_F^2 - sum_{i<=k} lambda_i^2. Those leading eigenpairs
+and the positive-definiteness check are computed in Sigma's own storage,
+which LAPACK overwrites on one triangle and the diagonal; Sigma is rebuilt
+from its other triangle afterwards, so that path holds no second p x p matrix.
 """
 
 from __future__ import annotations
@@ -142,6 +145,11 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
     negative raises NotPSDError. A partial window does not see the smallest
     eigenvalue, so then a Cholesky factorization of
     sigma + EIG_CLAMP_TOL*p*I makes the same test.
+
+    The partial window works in sigma's own storage and restores it, bit for
+    bit, before returning or raising, so no other thread may read sigma
+    during the call; a read-only sigma is worked on in one private copy
+    instead.
     """
     p = sigma.dim
     entries = sigma.entries
@@ -149,21 +157,26 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
     if epsilon is not None and 2 * _WINDOW <= p:
         frobenius_sq = float(np.vdot(entries, entries))
         trace = float(np.trace(entries))
-        # Both LAPACK calls below overwrite one scratch copy. Its transpose is
-        # the same symmetric matrix in the Fortran order LAPACK works in, so
-        # neither call makes a copy of its own.
-        scratch = entries.copy()
-        values, vectors = scipy.linalg.eigh(
-            scratch.T, subset_by_index=[p - _WINDOW, p - 1], overwrite_a=True, check_finite=False
-        )
-        values = np.maximum(values[::-1], 0.0)
-        tail_sq = np.maximum(frobenius_sq - np.concatenate([[0.0], np.cumsum(np.square(values))]), 0.0)
-        system = EigenSystem(values, np.ascontiguousarray(vectors[:, ::-1]), trace, tail_sq)
-        if system.within(epsilon)[-1]:
-            scratch[...] = entries
-            _check_psd(scratch, floor)
-            return system
-        del scratch  # the full decomposition makes its own copy
+        # The transpose is the same symmetric matrix in the Fortran order LAPACK works in, so neither
+        # call below copies it. Each destroys only its lower triangle, entries' upper one and diagonal.
+        work = entries if entries.flags.writeable else entries.copy()
+        try:
+            values, vectors = scipy.linalg.eigh(
+                work.T, subset_by_index=[p - _WINDOW, p - 1], overwrite_a=True, check_finite=False
+            )
+            values, vectors = np.maximum(values[::-1], 0.0), np.ascontiguousarray(vectors[:, ::-1])
+            tail_sq = np.maximum(frobenius_sq - np.concatenate([[0.0], np.cumsum(np.square(values))]), 0.0)
+            system = EigenSystem(values, vectors, trace, tail_sq)
+            if system.within(epsilon)[-1]:
+                _mirror_lower(work, 1.0 - floor)
+                try:
+                    scipy.linalg.cho_factor(work.T, lower=True, overwrite_a=True, check_finite=False)
+                except np.linalg.LinAlgError:
+                    raise NotPSDError(f"an eigenvalue is below the tolerance {floor:.3e}") from None
+                return system
+        finally:
+            _mirror_lower(work, 1.0)
+        del work  # a private copy would otherwise stay alive through the full decomposition
     values, vectors = np.linalg.eigh(entries)
     values = np.ascontiguousarray(values[::-1])
     vectors = np.ascontiguousarray(vectors[:, ::-1])
@@ -175,13 +188,11 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _check_psd(scratch: np.ndarray, floor: float) -> None:
-    """Raise NotPSDError unless the symmetric scratch - floor * I has a Cholesky factor; overwrites scratch."""
-    scratch.flat[:: scratch.shape[0] + 1] -= floor
-    try:
-        scipy.linalg.cholesky(scratch.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotPSDError(f"an eigenvalue is below the tolerance {floor:.3e}") from None
+def _mirror_lower(entries: np.ndarray, diagonal: float) -> None:
+    """Copy the strict lower triangle of `entries` onto its upper one, a row at a time, and fill its diagonal."""
+    for i in range(entries.shape[0] - 1):
+        entries[i, i + 1 :] = entries[i + 1 :, i]
+    np.fill_diagonal(entries, diagonal)
 
 
 def gram_spectrum(x: np.ndarray) -> EigenSystem:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfa.factors import (
+    _CDF_SLICE,
+    _DRAW_CHUNK,
     A_CAP,
     FactorModel,
     _cdf_above,
@@ -45,6 +48,11 @@ def exchangeable_model(p, rho):
         eigenvalues=np.ones(p),
         degenerate_rows=np.zeros(0, dtype=np.intp),
     )
+
+
+def cdf_slices(n):
+    """Row slices the numerator evaluates n draws in: each _DRAW_CHUNK-row block cut into _CDF_SLICE rows."""
+    return sum(-(-min(_DRAW_CHUNK, n - start) // _CDF_SLICE) for start in range(0, n, _DRAW_CHUNK))
 
 
 def one_row(*w):
@@ -424,14 +432,14 @@ class TestOneEvaluationPerChunk:
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         p = 50
         fdp_limit(0.01, exchangeable_model(p, 0.5), np.zeros(p), np.arange(5, p), standard_factor_draws(1, 600, 0))
-        # 600 rows are three chunks; each evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once,
-        # after one scalar call for the cut-off.
-        assert len(calls) == 1 + 2 * 3
+        # Each slice of the 600 rows evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once, after one
+        # scalar call for the cut-off.
+        assert len(calls) == 1 + 2 * cdf_slices(600)
         calls.clear()
         scenario = Scenario(kind="equal_correlation", p=60, n=30, p1=4)
         result = variance_study(scenario, t=0.01, n_reps=20, n_mc=600, seed=1)
         assert result["k"] > 0
-        assert len(calls) == 1 + 2 * 3
+        assert len(calls) == 1 + 2 * cdf_slices(600)
 
 
 def assert_within_pruning_bound(got, want, p):
@@ -694,12 +702,52 @@ class TestThresholdSweep:
 
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         model = steep_model()
-        draws = standard_factor_draws(model.k, 600, 5)  # three chunks
+        draws = standard_factor_draws(model.k, 600, 5)
         nulls = np.setdiff1d(np.arange(model.p), [np.argmin(model.a)]) if with_nulls else None
         numerator_over_draws(np.asarray(SOLVER_GRID), model, draws, nulls=nulls)
         swept = list(seen)
         seen.clear()
         one_call_per_threshold(SOLVER_GRID, model, draws, nulls)
-        # Per threshold one scalar call for its cut-off, then per chunk one call for each side.
-        assert len(swept) == len(seen) == len(SOLVER_GRID) * (1 + 2 * 3)
+        # Per threshold one scalar call for its cut-off, then per slice one call for each side.
+        assert len(swept) == len(seen) == len(SOLVER_GRID) * (1 + 2 * cdf_slices(600))
         assert sum(swept) == sum(seen)
+
+
+class TestCdfSlices:
+    """The CDF stages run on row slices of each matmul block; the slice size moves no bit and bounds the memory."""
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 257, 600])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 256])
+    def test_sums_do_not_depend_on_the_slice_size(self, monkeypatch, rows, n):
+        model = steep_model(p=150, k=3, seed=n)
+        draws = standard_factor_draws(model.k, n, n)
+        shift = np.zeros(model.p)
+        shift[:10] = 2.5
+        cases = [
+            (t, nulls, mu)
+            for t in (0.005, np.asarray((0.05, 0.001, 0.02)))
+            for nulls in (None, np.arange(10, model.p))
+            for mu in (None, shift)
+        ]
+        want = [numerator_over_draws(t, model, draws, nulls=nulls, shift=mu) for t, nulls, mu in cases]
+        monkeypatch.setattr("pfa.factors._CDF_SLICE", rows)
+        for (t, nulls, mu), (want_all, want_nulls) in zip(cases, want):
+            over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=mu)
+            assert np.array_equal(over_all, want_all)
+            assert (over_nulls is None) if nulls is None else np.array_equal(over_nulls, want_nulls)
+
+    def test_solve_threshold_memory_is_bounded_by_slices(self):
+        # Every term of an exchangeable model lies above the cut-off, so each slice keeps all of them.
+        p = 1000
+        model = exchangeable_model(p, 0.5)
+        draws = standard_factor_draws(model.k, 4 * _DRAW_CHUNK, 1)
+        solve_threshold(0.1, model, 10, draws)
+        tracemalloc.start()
+        try:
+            solve_threshold(0.1, model, 10, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The matmul block, and slice-sized arrays for the arguments, the kept terms of both sides and
+        # one threshold's temporaries: 24 slices is about a third more than they take.
+        assert peak < 8 * p * (_DRAW_CHUNK + 24 * _CDF_SLICE)

@@ -16,6 +16,7 @@ from pfa.harness import (
     _NS_REPLICATION,
     ExperimentConfig,
     _draw_statistics,
+    _line_count,
     _scan_csv,
     load_output,
     prepare_scenario,
@@ -717,7 +718,7 @@ _CELL_VALUES = st.one_of(
 @st.composite
 def _csv_text(draw, rows):
     """`rows` (lists of floats) as CSV text in mixed spellings, blank lines and line endings."""
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = []
     for row in rows:
         lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=1)))
@@ -826,6 +827,16 @@ class TestFileReaders:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.entries, entries)
         assert peak < 1.5 * entries.nbytes
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [("", 1), ("0.1", 1), ("0.1\n", 1), ("0.1\n\n0.2", 3), ("\n \n", 2), ("0.1\r\n0.2\r\n", None), ("0.1\r", None)],
+    )
+    def test_line_count_bounds_the_rows(self, tmp_path, text, count):
+        # The C reader's row limit: every line, blank or not, when \n is the only break; none otherwise.
+        path = tmp_path / "z.csv"
+        path.write_bytes(text.encode())
+        assert _line_count(path) == count
 
     def test_whitespace_only_lines_are_skipped(self, tmp_path):
         sigma_path = tmp_path / "sigma.csv"

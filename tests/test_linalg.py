@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -161,9 +163,8 @@ def test_partial_spectrum_matches_full_decomposition(case, monkeypatch):
     np.testing.assert_allclose(leading @ leading.T, reference @ reference.T, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("smallest", [0.05, -0.05])
-def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
-    # The smallest eigenvalue lies outside the leading window the rule needs.
+def spiked_correlation(smallest):
+    """p = 300 correlation with five large eigenvalues and one near `smallest`, outside the leading window."""
     rng = np.random.default_rng(5)
     p = 300
     basis, _ = np.linalg.qr(rng.standard_normal((p, p)))
@@ -175,7 +176,12 @@ def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
     entries = entries * scale[:, None] * scale[None, :]
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 1.0)
-    sigma = CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix.from_entries(entries)
+
+
+@pytest.mark.parametrize("smallest", [0.05, -0.05])
+def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
+    sigma = spiked_correlation(smallest)
     if smallest > 0.0:
         assert spectral_decompose(sigma, 0.5).values.size == 128
     else:
@@ -183,6 +189,71 @@ def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
             spectral_decompose(sigma)
         with pytest.raises(NotPSDError):
             spectral_decompose(sigma, 0.5)
+
+
+# name: (matrix, epsilon, the error the call raises); each runs the leading window in sigma's storage.
+RESTORE_CASES = {
+    "window_kept": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, None),
+    "falls_back": (lambda: two_factor_correlation(np.random.default_rng(2), 600, 200), 0.01, None),
+    "not_psd": (lambda: spiked_correlation(-0.05), 0.5, NotPSDError),
+}
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+@pytest.mark.parametrize("case", sorted(RESTORE_CASES))
+def test_partial_window_leaves_sigma_as_it_was(case, read_only):
+    make, epsilon, error = RESTORE_CASES[case]
+    sigma = make()
+    original = sigma.entries.copy()
+    sigma.entries.flags.writeable = not read_only
+    # The same matrix with the other flag is decomposed in the other storage: in place or in a copy.
+    other = CorrelationMatrix.from_entries(original.copy())
+    other.entries.flags.writeable = read_only
+    if error is not None:
+        with pytest.raises(error):
+            spectral_decompose(sigma, epsilon)
+    else:
+        system, reference = spectral_decompose(sigma, epsilon), spectral_decompose(other, epsilon)
+        for name in ("values", "vectors", "tail_sq"):
+            assert getattr(system, name).tobytes() == getattr(reference, name).tobytes()
+        assert system.trace == reference.trace
+    assert sigma.entries.tobytes() == original.tobytes()
+    assert sigma.entries.flags.writeable is not read_only
+
+
+def test_partial_window_restores_sigma_when_eigh_raises(monkeypatch):
+    sigma = two_factor_correlation(np.random.default_rng(1), 400, 100)
+    original = sigma.entries.copy()
+    eigh = scipy.linalg.eigh
+    seen = []
+
+    def failing_eigh(a, **kwargs):
+        eigh(a, **kwargs)
+        # LAPACK overwrote sigma's upper triangle and diagonal, and only those.
+        entries = sigma.entries
+        seen.append((np.array_equal(entries, original), np.array_equal(np.tril(entries, -1), np.tril(original, -1))))
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        spectral_decompose(sigma, 0.01)
+    assert seen == [(False, True)]
+    assert sigma.entries.tobytes() == original.tobytes()
+
+
+def test_partial_window_makes_no_copy_of_sigma():
+    p = 600
+    sigma = two_factor_correlation(np.random.default_rng(1), p, 100)
+    spectral_decompose(sigma, 0.01)
+    tracemalloc.start()
+    try:
+        system = spectral_decompose(sigma, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.values.size == 128
+    # LAPACK's p x 128 eigenvectors and their descending copy, and less than a quarter of sigma besides.
+    assert peak < 2 * system.vectors.nbytes + p * p * 8 / 4
 
 
 def test_not_symmetric_rejected():

@@ -92,3 +92,27 @@ def test_lad_timing_script():
     assert lines[1].startswith("ms per fit: ")
     assert lines[2].startswith("pivots: p50 ")
     assert lines[3] == "certified: 1.000"
+
+
+def test_bench_pairs_script(tmp_path):
+    # The same checkout on both sides, at smoke-test sizes: the file has BENCH_<n>.json's layout.
+    out = tmp_path / "BENCH.json"
+    args = [
+        "--parent", str(ROOT), "--change", str(ROOT), "--parent-commit", "a", "--change-commit", "b",
+        "--workloads", "variance_study", "--seeds", "3", "--pairs", "2", "--seconds", "0.2", "--tiny",
+        "--claim", "variance_study:peak_rss_mb:0.5", "--unseen-seeds", "3", "--out", str(out),
+    ]
+    assert f"written to {out}" in run_script("bench_pairs.py", *args)
+    bench = json.loads(out.read_text())
+    assert bench["commits"] == {"parent": "a", "change": "b"}
+    assert bench["version"]["parent"] == bench["version"]["change"]
+    assert [(w["workload"], w["seed"], w["pairs"]) for w in bench["workloads"]] == [("variance_study", 3, 2)]
+    for entry in bench["workloads"]:
+        assert set(entry["metrics"]) == {"setup_s", "work_s", "peak_rss_mb"}
+        assert entry["failed_ops"] == {"parent": 0, "change": 0}
+        rss = entry["metrics"]["peak_rss_mb"]
+        assert len(rss["runs_parent"]) == len(rss["runs_change"]) == 2
+        assert rss["parent"]["q1"] <= rss["parent"]["median"] <= rss["parent"]["q3"]
+    # One checkout against itself gains nothing.
+    assert set(bench["claim"]) == {"metric", "workload", "target", "seed_3_not_used_while_building"}
+    assert not bench["claim"]["seed_3_not_used_while_building"]["met"]
