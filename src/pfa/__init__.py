@@ -7,7 +7,7 @@ decomposition into consistent estimates of the false discovery proportion
 and an approximate-FDR threshold rule.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # Each module's __all__ is its public API; the package re-exports all of them.
 from . import factors, fdr, gauss, lad, linalg, simulate

@@ -5,13 +5,20 @@ diagonal; eigenvalues that come out slightly negative (sample matrices
 with n < p are singular) are clamped to zero within a dimension-scaled
 tolerance.
 
-A decomposition may hold only the leading eigenpairs. What the factor-count
-rule needs from the rest of the spectrum, its sum and its sum of squares,
-comes from the trace and from the Frobenius norm of the entries:
-tail^2(k) = ||Sigma||_F^2 - sum_{i<=k} lambda_i^2. Those leading eigenpairs
-and the positive-definiteness check are computed in Sigma's own storage,
-which LAPACK overwrites on one triangle and the diagonal; Sigma is rebuilt
-from its other triangle afterwards, so that path holds no second p x p matrix.
+A sample correlation of n < p observations has rank r < n. A pivoted
+Cholesky factorization finds that rank and a p x r factor F with
+Sigma = FF' in O(p^2 r) work, and the whole spectrum then comes from the
+r x r Gram F'F (`gram_spectrum`), with no p x p eigendecomposition.
+
+Otherwise a decomposition may hold only the leading eigenpairs. What the
+factor-count rule needs from the rest of the spectrum, its sum and its sum
+of squares, comes from the trace and from the Frobenius norm of the entries:
+tail^2(k) = ||Sigma||_F^2 - sum_{i<=k} lambda_i^2.
+
+The pivoted factorization, those leading eigenpairs and the
+positive-definiteness check are computed in Sigma's own storage, which
+LAPACK overwrites on one triangle and the diagonal; Sigma is rebuilt from
+its other triangle after each, so that path holds no second p x p matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 __all__ = [
     "NotSymmetricError",
@@ -38,6 +46,9 @@ EIG_CLAMP_TOL = 1e-8
 # of the spectrum is needed. When the rule is not met inside them, or they
 # would pass half the dimension, the full decomposition runs instead.
 _WINDOW = 128
+
+# Rows of the residual sigma - FF' formed at a time when a pivoted Cholesky factor is checked.
+_ROW_BLOCK = 64
 
 # Boundary ties of the factor-count rule are kept on the strict side: binary
 # rounding of a decimal epsilon must not admit a k whose tail energy equals
@@ -136,19 +147,35 @@ def equal_correlation(p: int, rho: float) -> CorrelationMatrix:
 def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -> EigenSystem:
     """Eigendecomposition with descending eigenvalues.
 
-    Without epsilon, the full spectrum. With it, the leading 128 eigenpairs
-    when the factor-count rule at epsilon is met within them, with `tail_sq`
-    from the Frobenius-norm identity and `trace` from the diagonal; otherwise,
-    or when 128 would pass p/2, the full spectrum.
+    Without epsilon, or when 128 would pass p/2, the full spectrum. With it,
+    a pivoted Cholesky factorization (LAPACK's dpstrf) of sigma first finds
+    its numerical rank r and a p x r factor F, and then:
+
+    - r <= p/2 and ||sigma - FF'||_F <= p * eps * ||sigma||_F: the whole
+      spectrum of FF' from its r x r Gram (`gram_spectrum`), exact zeros
+      beyond its nonzero eigenvalues and an eigenvector for each of those.
+      By Weyl's inequality each eigenvalue of sigma lies within that residual
+      of the one returned. The bound is within sqrt(r) of a dense eigh's own
+      backward error, about p * eps * ||sigma||_2. And since FF' then has a
+      unit diagonal, ||sigma||_F is at most about p, so the bound is under
+      p^2 * eps, below the negativity tolerance EIG_CLAMP_TOL*p for any
+      p < 4e7: sigma passes the PSD test.
+    - r = p: sigma is positive definite. The leading 128 eigenpairs when the
+      factor-count rule at epsilon is met within them, with `tail_sq` from
+      the Frobenius-norm identity and `trace` from the diagonal; otherwise
+      the full spectrum.
+    - Otherwise (p/2 < r < p, or a larger residual, as on an indefinite
+      sigma): the same leading window, but a window does not see the
+      smallest eigenvalue, so a Cholesky factorization of
+      sigma + EIG_CLAMP_TOL*p*I checks that none lies below the tolerance
+      before the window is kept.
 
     Eigenvalues in (-EIG_CLAMP_TOL*p, 0) are clamped to 0; anything more
-    negative raises NotPSDError. A partial window does not see the smallest
-    eigenvalue, so then a Cholesky factorization of
-    sigma + EIG_CLAMP_TOL*p*I makes the same test.
+    negative raises NotPSDError.
 
-    The partial window works in sigma's own storage and restores it, bit for
-    bit, before returning or raising, so no other thread may read sigma
-    during the call; a read-only sigma is worked on in one private copy
+    With epsilon, the LAPACK calls work in sigma's own storage and restore
+    it, bit for bit, before returning or raising, so no other thread may read
+    sigma during the call; a read-only sigma is worked on in one private copy
     instead.
     """
     p = sigma.dim
@@ -157,9 +184,20 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
     if epsilon is not None and 2 * _WINDOW <= p:
         frobenius_sq = float(np.vdot(entries, entries))
         trace = float(np.trace(entries))
-        # The transpose is the same symmetric matrix in the Fortran order LAPACK works in, so neither
-        # call below copies it. Each destroys only its lower triangle, entries' upper one and diagonal.
+        # The transpose is the same symmetric matrix in the Fortran order LAPACK works in, so no call
+        # below copies it. Each destroys only its lower triangle, entries' upper one and diagonal.
         work = entries if entries.flags.writeable else entries.copy()
+        factor = None
+        try:
+            chol, pivots, rank, _ = scipy.linalg.lapack.dpstrf(work.T, lower=1, overwrite_a=1)
+            if 2 * rank <= p:
+                factor = np.empty((p, rank))
+                factor[pivots - 1] = np.tril(chol[:, :rank])  # rows back in sigma's order
+        finally:
+            _mirror_lower(work, 1.0)
+        if factor is not None and _residual_sq(entries, factor) <= (p * np.finfo(float).eps) ** 2 * frobenius_sq:
+            return gram_spectrum(factor.T)
+        del factor  # as large as half of sigma when the rank is p/2
         try:
             values, vectors = scipy.linalg.eigh(
                 work.T, subset_by_index=[p - _WINDOW, p - 1], overwrite_a=True, check_finite=False
@@ -168,11 +206,12 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
             tail_sq = np.maximum(frobenius_sq - np.concatenate([[0.0], np.cumsum(np.square(values))]), 0.0)
             system = EigenSystem(values, vectors, trace, tail_sq)
             if system.within(epsilon)[-1]:
-                _mirror_lower(work, 1.0 - floor)
-                try:
-                    scipy.linalg.cho_factor(work.T, lower=True, overwrite_a=True, check_finite=False)
-                except np.linalg.LinAlgError:
-                    raise NotPSDError(f"an eigenvalue is below the tolerance {floor:.3e}") from None
+                if rank < p:  # a complete pivoted Cholesky has already shown sigma positive definite
+                    _mirror_lower(work, 1.0 - floor)
+                    try:
+                        scipy.linalg.cho_factor(work.T, lower=True, overwrite_a=True, check_finite=False)
+                    except np.linalg.LinAlgError:
+                        raise NotPSDError(f"an eigenvalue is below the tolerance {floor:.3e}") from None
                 return system
         finally:
             _mirror_lower(work, 1.0)
@@ -186,6 +225,15 @@ def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -
         )
     np.maximum(values, 0.0, out=values)
     return EigenSystem(values=values, vectors=vectors)
+
+
+def _residual_sq(entries: np.ndarray, factor: np.ndarray) -> float:
+    """Squared Frobenius norm of entries - factor factor', summed over row blocks, so no p x p temporary."""
+    total = 0.0
+    for start in range(0, entries.shape[0], _ROW_BLOCK):
+        block = entries[start : start + _ROW_BLOCK] - factor[start : start + _ROW_BLOCK] @ factor.T
+        total += float(np.vdot(block, block))
+    return total
 
 
 def _mirror_lower(entries: np.ndarray, diagonal: float) -> None:

@@ -45,26 +45,26 @@ RECORDED_ON = {
 
 GOLDEN = {
     "cli_estimate_control": {
-        "control.json": "016d5bc715b42962bef1abfe541100610f97e5e39e751b48439bb14e57aaed89",
-        "estimate.json": "a61ec5d1102419eaa4dd5fdc74525a19f834a269dcef7bc7967f386d802f58fc",
+        "control.json": "07c8355072fc9b5c71b5f4fb1b38fcc692a5c5e30b25cad31810a3b75056ae8d",
+        "estimate.json": "81abb0d67d5bbfe74120139754ec916d77102cdf4fe4496ad678ea4cd0176a61",
     },
     "convergence": {
         "convergence_p40_t0.05.csv": "78b9a2a4e7dfb669823f1e9ed6e39887ab6d9ff27180744402952f839bf2ba30",
         "convergence_p40_t0.1.csv": "ced8f4c0ec992f5fa24236cdf76db5ca368cf22b4511a0a3473d1edacd42fc29",
         "convergence_p60_t0.05.csv": "39e93a341dedbae6feccd73065c7ac4250e1c855b0b5c0ca6b6aac472616db9b",
         "convergence_p60_t0.1.csv": "3cac56e6ecc079a4a1b5269e69f887bb2d5322be0142f8589fea3c4bd8572506",
-        "convergence_summary.json": "032b91460bf821613411809fff031132023d2c3dfd507a24f1710468d81d35e0",
+        "convergence_summary.json": "070584313a08a9da7657e5637655d150bc8ca288aab58f77659c67bbc501242f",
     },
     "experiment": {
-        "aggregates.json": "9861520fa6e6218335de6eb20b11b2a5a2c3d4c4a51dde492fa44d29a70157c5",
+        "aggregates.json": "8c62e17554eb54808e5175c26b3f4984b79c17e6d3a215f8252a3a606284870f",
         "records.csv": "b2a8fa8f5e214ac6e992cc44218874fd7a0875383b261357ddb3332375e18f7b",
     },
     "experiment_no_estimators": {
-        "aggregates.json": "dcd7f2ca1b5a1558fa5b67bb3e7c89cc392a47f48b41b5543948b2f62a919673",
+        "aggregates.json": "b46361ec32c50c8560f911c32b6761c6db7dc6dbb5b499a463cfb7af5db16a59",
         "records.csv": "99fa1025c8d6773b8bf20a938c5c24566da393ad10ad96a881e5c500ca6958f8",
     },
     "variance_study": {
-        "variance.json": "8db54fd1032d70f348679ca3305a8b7af0f823dd9b7329651d92b6a342c526c7",
+        "variance.json": "9fa0d2d2a5c1419d943b313ab27d7a581207ee769b82711f4ec9fa34e6f3f361",
     },
 }
 

@@ -120,47 +120,94 @@ def two_factor_correlation(rng, p, n):
     return CorrelationMatrix.from_entries(entries)
 
 
-# name: (matrix, epsilon, the eigh windows tried, whether the full spectrum follows)
+def shrunk_two_factor_correlation(rng, p, n, weight=0.05):
+    """(1 - weight) times a two-factor sample correlation plus weight * I: full rank, every eigenvalue >= weight."""
+    entries = (1.0 - weight) * two_factor_correlation(rng, p, n).entries
+    entries[np.diag_indices(p)] = 1.0
+    return CorrelationMatrix.from_entries(entries)
+
+
+def record_calls(monkeypatch):
+    """Record the width of each scipy eigh window, the size of each full np.linalg.eigh and each Cholesky check."""
+    calls = {"windows": [], "full": [], "checks": 0}
+    eigh, full_eigh, cho_factor = scipy.linalg.eigh, np.linalg.eigh, scipy.linalg.cho_factor
+
+    def recording_eigh(a, **kwargs):
+        calls["windows"].append(kwargs["subset_by_index"][1] - kwargs["subset_by_index"][0] + 1)
+        return eigh(a, **kwargs)
+
+    def recording_full_eigh(a, *args, **kwargs):
+        calls["full"].append(a.shape[0])
+        return full_eigh(a, *args, **kwargs)
+
+    def recording_cho_factor(a, **kwargs):
+        calls["checks"] += 1
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", recording_full_eigh)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
+    return calls
+
+
+# name: (matrix, epsilon, the eigh windows tried, the Cholesky checks made, the sizes of the full eigh calls,
+# eigenvalues held, eigenvectors held)
 PARTIAL_CASES = {
-    # k = 1 inside the window (the other eigenvalues are all equal).
-    "equal_correlation": (lambda: equal_correlation(400, 0.5), 0.05, [128], False),
-    # k of about 90 of rank 99, inside the window.
-    "two_factor": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, [128], False),
-    # rank 199: k of about 180 lies beyond the window, so the full spectrum follows.
-    "two_factor_wide": (lambda: two_factor_correlation(np.random.default_rng(2), 600, 200), 0.01, [128], True),
+    # Full rank, k = 1 inside the window (the other eigenvalues are all equal): no check is needed.
+    "equal_correlation": (lambda: equal_correlation(400, 0.5), 0.05, [128], 0, [], 128, 128),
+    # Full rank, k of about 85 inside the window.
+    "two_factor_shrunk": (
+        lambda: shrunk_two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, [128], 0, [], 128, 128
+    ),
+    # Rank 99 <= p/2: the whole spectrum from the pivoted Cholesky factor's 99 x 99 Gram, no p x p eigh.
+    "two_factor": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, [], 0, [99], 400, 99),
+    # Rank 199 <= p/2 and k of about 180, beyond the window: the whole spectrum again, decomposed once.
+    "two_factor_wide": (
+        lambda: two_factor_correlation(np.random.default_rng(2), 600, 200), 0.01, [], 0, [199], 600, 199
+    ),
+    # Rank 199 > p/2, k of about 110 inside the window: the window is kept after the Cholesky check.
+    "two_factor_mid_rank": (
+        lambda: two_factor_correlation(np.random.default_rng(2), 300, 200), 0.01, [128], 1, [], 128, 128
+    ),
     # Full rank: k near p, so the full spectrum follows.
-    "full_rank": (lambda: random_correlation(np.random.default_rng(3), 300, 600), 0.01, [128], True),
+    "full_rank": (lambda: random_correlation(np.random.default_rng(3), 300, 600), 0.01, [128], 0, [300], 300, 300),
     # p < 256: the window would pass p/2, so only the full spectrum is computed.
-    "small": (lambda: two_factor_correlation(np.random.default_rng(4), 200, 100), 0.01, [], True),
+    "small": (lambda: two_factor_correlation(np.random.default_rng(4), 200, 100), 0.01, [], 0, [200], 200, 200),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PARTIAL_CASES))
 def test_partial_spectrum_matches_full_decomposition(case, monkeypatch):
-    make, epsilon, expected_windows, falls_back = PARTIAL_CASES[case]
+    make, epsilon, windows, checks, full_sizes, held, vectors_held = PARTIAL_CASES[case]
     sigma = make()
-    windows = []
-    eigh = scipy.linalg.eigh
-
-    def recording_eigh(a, **kwargs):
-        windows.append(kwargs["subset_by_index"][1] - kwargs["subset_by_index"][0] + 1)
-        return eigh(a, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    calls = record_calls(monkeypatch)
     partial = spectral_decompose(sigma, epsilon)
     monkeypatch.undo()
     full = spectral_decompose(sigma)
 
-    assert windows == expected_windows
-    held = partial.values.size
-    assert held == (sigma.dim if falls_back else windows[0])
-    assert partial.vectors.shape == (sigma.dim, held) and partial.dim == sigma.dim
+    assert calls == {"windows": windows, "full": full_sizes, "checks": checks}
+    assert partial.values.size == held
+    assert partial.vectors.shape == (sigma.dim, vectors_held) and partial.dim == sigma.dim
     k = select_num_factors(partial, epsilon)
     assert k == select_num_factors(full, epsilon)
     np.testing.assert_allclose(partial.values, full.values[:held], rtol=0, atol=1e-12 * full.values[0])
     assert partial.tail_energy(k) == pytest.approx(full.tail_energy(k), rel=1e-9)
     leading, reference = build_factor_model(partial, k).loadings, build_factor_model(full, k).loadings
     np.testing.assert_allclose(leading @ leading.T, reference @ reference.T, rtol=0, atol=1e-10)
+
+
+def test_full_rank_window_is_lapacks_own_window(monkeypatch):
+    """A positive definite sigma gets the bytes of the bare 128-wide eigh window, with no Cholesky check."""
+    sigma = shrunk_two_factor_correlation(np.random.default_rng(1), 400, 100)
+    values, vectors = scipy.linalg.eigh(
+        sigma.entries.copy().T, subset_by_index=[400 - 128, 399], overwrite_a=True, check_finite=False
+    )
+    calls = record_calls(monkeypatch)
+    system = spectral_decompose(sigma, 0.01)
+    assert calls == {"windows": [128], "full": [], "checks": 0}
+    assert system.values.tobytes() == np.maximum(values[::-1], 0.0).tobytes()
+    assert system.vectors.tobytes() == np.ascontiguousarray(vectors[:, ::-1]).tobytes()
+    assert system.trace == float(np.trace(sigma.entries))
 
 
 def spiked_correlation(smallest):
@@ -191,11 +238,40 @@ def test_partial_spectrum_checks_the_smallest_eigenvalue(smallest):
             spectral_decompose(sigma, 0.5)
 
 
-# name: (matrix, epsilon, the error the call raises); each runs the leading window in sigma's storage.
+def indefinite_low_rank_correlation():
+    """p = 300: a rank-5 correlation with one pair of entries moved by 0.05, so an eigenvalue near -0.05.
+
+    The pivoted Cholesky factorization stops at rank 6, far below p/2, with the moved pair left in its residual.
+    """
+    rng = np.random.default_rng(8)
+    factor = rng.standard_normal((300, 5))
+    factor /= np.linalg.norm(factor, axis=1, keepdims=True)
+    entries = factor @ factor.T
+    entries[0, 1] += 0.05
+    entries[1, 0] = entries[0, 1]
+    entries[np.diag_indices(300)] = 1.0
+    return CorrelationMatrix.from_entries(entries)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.5])
+def test_indefinite_sigma_of_small_pivoted_rank_raises(epsilon):
+    sigma = indefinite_low_rank_correlation()
+    rank = scipy.linalg.lapack.dpstrf(sigma.entries.copy().T, lower=1)[2]
+    assert 2 * rank <= sigma.dim
+    with pytest.raises(NotPSDError):
+        spectral_decompose(sigma, epsilon)
+    with pytest.raises(NotPSDError):
+        spectral_decompose(sigma)
+
+
+# name: (matrix, epsilon, the error the call raises); each works in sigma's storage.
 RESTORE_CASES = {
-    "window_kept": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, None),
-    "falls_back": (lambda: two_factor_correlation(np.random.default_rng(2), 600, 200), 0.01, None),
+    "pivoted": (lambda: two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, None),
+    "window_kept": (lambda: shrunk_two_factor_correlation(np.random.default_rng(1), 400, 100), 0.01, None),
+    "window_checked": (lambda: two_factor_correlation(np.random.default_rng(2), 300, 200), 0.01, None),
+    "falls_back": (lambda: random_correlation(np.random.default_rng(3), 300, 600), 0.01, None),
     "not_psd": (lambda: spiked_correlation(-0.05), 0.5, NotPSDError),
+    "not_psd_low_rank": (indefinite_low_rank_correlation, 0.5, NotPSDError),
 }
 
 
@@ -221,39 +297,73 @@ def test_partial_window_leaves_sigma_as_it_was(case, read_only):
     assert sigma.entries.flags.writeable is not read_only
 
 
-def test_partial_window_restores_sigma_when_eigh_raises(monkeypatch):
-    sigma = two_factor_correlation(np.random.default_rng(1), 400, 100)
-    original = sigma.entries.copy()
-    eigh = scipy.linalg.eigh
-    seen = []
+def failing_after(real, sigma, original, seen):
+    """Run `real`, record whether sigma changed and whether its strict lower triangle did not, then raise."""
 
-    def failing_eigh(a, **kwargs):
-        eigh(a, **kwargs)
-        # LAPACK overwrote sigma's upper triangle and diagonal, and only those.
+    def failing(a, **kwargs):
+        real(a, **kwargs)
         entries = sigma.entries
         seen.append((np.array_equal(entries, original), np.array_equal(np.tril(entries, -1), np.tril(original, -1))))
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    return failing
+
+
+def test_partial_window_restores_sigma_when_eigh_raises(monkeypatch):
+    sigma = shrunk_two_factor_correlation(np.random.default_rng(1), 400, 100)
+    original = sigma.entries.copy()
+    seen = []
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_after(scipy.linalg.eigh, sigma, original, seen))
     with pytest.raises(np.linalg.LinAlgError, match="injected"):
         spectral_decompose(sigma, 0.01)
+    # LAPACK overwrote sigma's upper triangle and diagonal, and only those.
     assert seen == [(False, True)]
     assert sigma.entries.tobytes() == original.tobytes()
 
 
-def test_partial_window_makes_no_copy_of_sigma():
-    p = 600
-    sigma = two_factor_correlation(np.random.default_rng(1), p, 100)
-    spectral_decompose(sigma, 0.01)
+@pytest.mark.parametrize("read_only", [False, True])
+def test_pivoted_cholesky_restores_sigma_when_it_raises(read_only, monkeypatch):
+    sigma = two_factor_correlation(np.random.default_rng(1), 400, 100)
+    original = sigma.entries.copy()
+    sigma.entries.flags.writeable = not read_only
+    seen = []
+    dpstrf = scipy.linalg.lapack.dpstrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", failing_after(dpstrf, sigma, original, seen))
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        spectral_decompose(sigma, 0.01)
+    # In place, LAPACK overwrote sigma's upper triangle and diagonal, and only those; a read-only sigma's copy.
+    assert seen == [(read_only, True)]
+    assert sigma.entries.tobytes() == original.tobytes()
+    assert sigma.entries.flags.writeable is not read_only
+
+
+def peak_of_second_call(sigma, epsilon):
+    """tracemalloc peak of a spectral_decompose call made after a first one, and its result."""
+    spectral_decompose(sigma, epsilon)
     tracemalloc.start()
     try:
-        system = spectral_decompose(sigma, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
+        system = spectral_decompose(sigma, epsilon)
+        return tracemalloc.get_traced_memory()[1], system
     finally:
         tracemalloc.stop()
+
+
+def test_partial_window_makes_no_copy_of_sigma():
+    p = 600
+    peak, system = peak_of_second_call(shrunk_two_factor_correlation(np.random.default_rng(1), p, 100), 0.01)
     assert system.values.size == 128
     # LAPACK's p x 128 eigenvectors and their descending copy, and less than a quarter of sigma besides.
     assert peak < 2 * system.vectors.nbytes + p * p * 8 / 4
+
+
+def test_pivoted_factor_makes_no_copy_of_sigma():
+    p = 1000
+    peak, system = peak_of_second_call(two_factor_correlation(np.random.default_rng(1), p, 100), 0.01)
+    rank = system.vectors.shape[1]
+    assert rank == 99 and system.values.size == p
+    # The factor, its triangle and the eigenvectors, p x rank each, and three 64-row blocks of the residual
+    # sigma - FF': under half of sigma.
+    assert peak < 3 * p * rank * 8 + 3 * 64 * p * 8 < p * p * 8 / 2
 
 
 def test_not_symmetric_rejected():
