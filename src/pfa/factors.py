@@ -91,10 +91,10 @@ def select_num_factors(system: EigenSystem, epsilon: float) -> int:
 
 
 def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
-    """Factor model from the top k eigenpairs of a correlation matrix."""
-    p = system.dim
-    if k < 0 or k > p:
-        raise IndexError(f"k={k} outside [0, {p}]")
+    """Factor model from the top k eigenpairs of a correlation matrix; the system must hold k eigenvectors."""
+    p, held = system.vectors.shape
+    if k < 0 or k > held:
+        raise IndexError(f"k={k} outside [0, {held}], the eigenvectors the system holds")
     values = system.values
     if values[-1] < 0.0:
         raise ValueError("eigenvalues must be clamped nonnegative")
@@ -142,13 +142,14 @@ def numerator_over_draws(
 
     Each sum is at least Phi(a_low z_{t/2}), a_low the smallest a_i over `nulls` (over all indices
     without them), so terms with arguments at or below c = Phi^-1(2^-54 Phi(a_low z_{t/2}) / (2p))
-    count as 0 (`_cdf_above`): the at most 2p of them change a sum by less than 2^-54 of it. In z =
-    z_{t/2} an argument a_i (z + s_i) rises at rate a_i >= a_low and c at rate a_low lambda(a_low z)
-    / lambda(c) < a_low (the hazard lambda = phi / Phi decreases; c < a_low z), so a term cut at t
+    count as 0: the at most 2p of them change a sum by less than 2^-54 of it. In z = z_{t/2} an
+    argument a_i (z + s_i) rises at rate a_i >= a_low and c at rate a_low lambda(a_low z) /
+    lambda(c) < a_low (the hazard lambda = phi / Phi decreases; c < a_low z), so a term cut at t
     stays cut at every smaller t and the sums stay monotone in t. Thresholds are swept from the
-    largest down on each slice's s, a later one forming arguments only where an earlier one kept a
-    term: its sums are a one-threshold call's, bit for bit, but for terms at the cut-off (inside
-    the 2^-54 bound) that rounding can drop between thresholds only floats apart.
+    largest down on each slice's s, each forming arguments only where the ones before it kept a
+    term (the first, everywhere): its sums are a one-threshold call's, bit for bit, but for terms
+    at the cut-off (inside the 2^-54 bound) that rounding can drop between thresholds only floats
+    apart.
     """
     thresholds = np.asarray(t, dtype=float)
     draws = np.asarray(draws, dtype=float)
@@ -161,13 +162,12 @@ def numerator_over_draws(
         z_half = norm_quantile(0.5 * thresholds.flat[j])
         negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
         sweep.append((j, z_half, norm_quantile(negligible) if negligible > 0.0 else -np.inf))
-    several = len(sweep) > 1
-    # Blocks reused by every slice; each step writes into one of them. One threshold overwrites
-    # eta with its "-" arguments; several keep eta, so they take a block for those and a tiled a.
+    # Blocks reused by every slice: the shifts of a matmul block, and per slice the terms, one
+    # side's flat arguments (then the gathered null columns) and a tiled over the slice's rows.
     eta_block = np.empty((min(_DRAW_CHUNK, n), model.p))
     terms_block = np.empty((min(_CDF_SLICE, eta_block.shape[0]), model.p))
-    minus_block = np.empty_like(terms_block) if several else None
-    a_flat = np.tile(model.a, terms_block.shape[0]) if several else None
+    args_block = np.empty(terms_block.size)
+    a_flat = np.tile(model.a, terms_block.shape[0])
     for chunk in range(0, n, _DRAW_CHUNK):
         eta_chunk = eta_block[: min(_DRAW_CHUNK, n - chunk)]
         np.matmul(draws[chunk : chunk + eta_chunk.shape[0]], model.loadings.T, out=eta_chunk)
@@ -178,46 +178,34 @@ def numerator_over_draws(
             rows = eta.shape[0]
             start, stop = chunk + offset, chunk + offset + rows
             terms = terms_block[:rows]
-            minus = minus_block[:rows] if several else eta
-            kept = None
-            for j, z_half, cut in sweep:
-                if kept is None:
-                    np.add(eta, z_half, out=terms)
-                    np.multiply(terms, model.a, out=terms)
-                    np.subtract(z_half, eta, out=minus)
-                    np.multiply(minus, model.a, out=minus)
-                    kept = [_cdf_above(args, cut, eta, a_flat) for args in (terms, minus)]
-                    terms += minus
-                else:
-                    terms.fill(0.0)
-                    for side, (at, eta_kept, a_kept) in enumerate(kept):
-                        args = eta_kept + z_half if side == 0 else z_half - eta_kept
-                        args *= a_kept
-                        above = np.flatnonzero(args > cut)
-                        values, at_above = args.take(above), at.take(above)
-                        if 2 * above.size < at.size:  # forming an argument costs less than compressing it
-                            kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
-                        terms.ravel()[at_above] += norm_cdf(values, out=values)
+            # Per side, the flat indices (None: every one) where earlier thresholds kept a term, with their eta and a.
+            kept = [(None, eta.ravel(), a_flat[: eta.size])] * 2
+            for step, (j, z_half, cut) in enumerate(sweep):
+                terms.fill(0.0)
+                for side, (at, eta_kept, a_kept) in enumerate(kept):
+                    args = args_block[: eta_kept.size]
+                    if side == 0:
+                        np.add(eta_kept, z_half, out=args)
+                    else:
+                        np.subtract(z_half, eta_kept, out=args)
+                    args *= a_kept
+                    above = np.flatnonzero(args > cut)
+                    values, at_above = args.take(above), above if at is None else at.take(above)
+                    norm_cdf(values, out=values)
+                    if side == 0:
+                        terms.ravel()[at_above] = values
+                    else:
+                        terms.ravel()[at_above] += values
+                    # Forming an argument costs less than compressing it, and the last threshold keeps none.
+                    if 2 * above.size < eta_kept.size and step + 1 < len(sweep):
+                        kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
                 over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
                 if nulls is not None:
                     # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
-                    gathered = minus.ravel()[: rows * len(nulls)].reshape(rows, len(nulls))
+                    gathered = args_block[: rows * len(nulls)].reshape(rows, len(nulls))
                     sums = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
                     over_nulls.reshape(-1, n)[j, start:stop] = sums
     return over_all, over_nulls
-
-
-def _cdf_above(args: np.ndarray, cut: float, eta=None, a_flat=None) -> tuple | None:
-    """Overwrite the C-contiguous `args` with Phi(args) where args > cut, and with 0 elsewhere.
-
-    The CDF sees only the arguments above cut: they are gathered, evaluated and scattered back.
-    With the tiled a of several thresholds, returns their flat indices with their eta and a.
-    """
-    at = np.flatnonzero(args > cut)
-    values = args.ravel()[at]
-    args.fill(0.0)
-    args.ravel()[at] = norm_cdf(values, out=values)
-    return None if a_flat is None else (at, eta.ravel()[at], a_flat[at])
 
 
 def fdp_limit(

@@ -11,7 +11,6 @@ from pfa.factors import (
     _DRAW_CHUNK,
     A_CAP,
     FactorModel,
-    _cdf_above,
     build_factor_model,
     estimate_fdp,
     fdp_limit,
@@ -22,7 +21,7 @@ from pfa.factors import (
 from pfa.fdr import _CURVE_GRID, _T_LOW, solve_threshold
 from pfa.gauss import norm_cdf, norm_quantile, two_sided_pvalue
 from pfa.harness import variance_study
-from pfa.linalg import CorrelationMatrix, EigenSystem, equal_correlation, spectral_decompose
+from pfa.linalg import CorrelationMatrix, EigenSystem, equal_correlation, gram_spectrum, spectral_decompose
 from pfa.simulate import Scenario
 
 
@@ -184,6 +183,21 @@ class TestBuildFactorModel:
         model = build_factor_model(EigenSystem(system.values, -system.vectors), 3)
         largest = model.loadings[np.argmax(np.abs(model.loadings), axis=0), np.arange(3)]
         assert np.all(largest > 0.0)
+
+    def test_k_beyond_the_window_raises(self):
+        system = spectral_decompose(equal_correlation(300, 0.5), 0.5)
+        assert system.vectors.shape == (300, 128)  # the eigh window
+        assert build_factor_model(system, 128).loadings.shape == (300, 128)
+        with pytest.raises(IndexError, match=r"k=140 outside \[0, 128\]"):
+            build_factor_model(system, 140)
+
+    def test_k_beyond_the_gram_vectors_raises(self):
+        x = np.random.default_rng(5).standard_normal((50, 300))
+        system = gram_spectrum(unit_columns(x - np.mean(x, axis=0)))
+        assert system.values.shape == (300,) and system.vectors.shape == (300, 49)
+        assert build_factor_model(system, 49).loadings.shape == (300, 49)
+        with pytest.raises(IndexError, match=r"k=60 outside \[0, 49\]"):
+            build_factor_model(system, 60)
 
     def test_a_tie_goes_to_the_first_index(self):
         vectors = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
@@ -583,15 +597,42 @@ class TestPrunedNumerator:
         fdr = [value for _, value in result.curve]
         assert all(low < high for low, high in zip(fdr, fdr[1:]))
 
-    def test_matches_the_masked_formula(self):
-        # From a tenth of the block above the cut-off to nine tenths of it.
-        rng = np.random.default_rng(3)
-        for share in (0.1, 0.5, 0.9):
-            args = 5.0 * rng.standard_normal((7, 50))
-            cut = float(np.quantile(args, 1.0 - share))
-            got = args.copy()
-            _cdf_above(got, cut)
-            np.testing.assert_array_equal(got, np.where(args > cut, norm_cdf(args), 0.0))
+    @staticmethod
+    def cut_dense_numerator(t, model, draws, nulls, shift):
+        """Every term cut at the numerator's c, where(a (z +- s) > c, Phi, 0), s from _DRAW_CHUNK-row products."""
+        z_half = norm_quantile(0.5 * t)
+        a_low = np.min(model.a[nulls] if nulls is not None and len(nulls) else model.a)
+        negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
+        cut = norm_quantile(negligible) if negligible > 0.0 else -np.inf
+        s = np.concatenate([draws[i : i + _DRAW_CHUNK] @ model.loadings.T for i in range(0, len(draws), _DRAW_CHUNK)])
+        if shift is not None:
+            s = s + shift
+        plus, minus = model.a * (s + z_half), model.a * (z_half - s)
+        terms = np.where(plus > cut, norm_cdf(plus), 0.0) + np.where(minus > cut, norm_cdf(minus), 0.0)
+        # terms[:, nulls] comes out column-major, which would sum in another order.
+        return np.sum(terms, axis=1), None if nulls is None else np.sum(np.ascontiguousarray(terms[:, nulls]), axis=1)
+
+    @pytest.mark.parametrize("n", [1, 64, 257, 600])
+    @pytest.mark.parametrize("t", [0.5, 0.01, 1e-6])
+    def test_one_threshold_is_the_cut_dense_formula_bit_for_bit(self, n, t):
+        # Few terms kept (steep), every term kept (exchangeable) and a principal-factor model between.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((60, 2)) @ rng.uniform(-1.0, 1.0, (2, 300)) + rng.standard_normal((60, 300))
+        system = gram_spectrum(unit_columns(x - np.mean(x, axis=0)))
+        models = (
+            steep_model(p=300, capped=6),
+            exchangeable_model(300, 0.5),
+            build_factor_model(system, select_num_factors(system, 0.1)),
+        )
+        for model in models:
+            draws = standard_factor_draws(model.k, n, 8)
+            nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))])
+            shift = rng.uniform(0.0, 3.0, size=model.p)
+            for case_nulls, case_shift in ((None, None), (nulls, None), (None, shift), (nulls, shift)):
+                over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=case_nulls, shift=case_shift)
+                want_all, want_nulls = self.cut_dense_numerator(t, model, draws, case_nulls, case_shift)
+                assert over_all.tobytes() == want_all.tobytes()
+                assert over_nulls is None if case_nulls is None else over_nulls.tobytes() == want_nulls.tobytes()
 
     @pytest.mark.parametrize("with_nulls", [False, True])
     def test_cdf_sees_only_the_arguments_above_the_cut_off(self, monkeypatch, with_nulls):
@@ -751,3 +792,20 @@ class TestCdfSlices:
         # The matmul block, and slice-sized arrays for the arguments, the kept terms of both sides and
         # one threshold's temporaries: 24 slices is about a third more than they take.
         assert peak < 8 * p * (_DRAW_CHUNK + 24 * _CDF_SLICE)
+
+    def test_one_threshold_memory_is_the_blocks_and_the_survivors(self):
+        # Every term lies above the cut-off, so each side's survivors are a whole slice.
+        p = 2000
+        model = exchangeable_model(p, 0.5)
+        draws = standard_factor_draws(model.k, 2 * _DRAW_CHUNK, 1)
+        nulls = np.arange(10, p)
+        numerator_over_draws(0.01, model, draws, nulls=nulls)
+        tracemalloc.start()
+        try:
+            numerator_over_draws(0.01, model, draws, nulls=nulls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The matmul block of eta; the terms, arguments and tiled a of a slice; and per slice argument
+        # the survivors of both sides (an index and a CDF value each, 8 bytes apiece) and a mask byte.
+        assert peak < 8 * p * (_DRAW_CHUNK + 3 * _CDF_SLICE) + 33 * p * _CDF_SLICE
