@@ -39,7 +39,10 @@ def per_replication_draws(config, state, chunk_size=256):
     for start in range(0, config.n_reps, chunk_size):
         reps = range(start, min(start + chunk_size, config.n_reps))
         noise = np.stack(
-            [substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(state.scenario.n) for rep in reps]
+            [
+                substream(config.seed, _NS_REPLICATION, *state.key, rep).standard_normal(config.scenario.n)
+                for rep in reps
+            ]
         )
         statistics = (noise if len(reps) > 1 else np.vstack([noise, noise])) @ state.x
         yield reps, statistics[: len(reps)] + state.mu
@@ -52,9 +55,9 @@ def gaps(scenario, t, n_mc, seed, counts) -> dict:
     """The formula, and per scheme var(V), the gap and the draw time at each replication count."""
     config = ExperimentConfig(scenario, (t,), max(counts), seed, n_mc=n_mc, with_estimators=False)
     state = prepare_scenario(config)
-    draws = standard_factor_draws(state.k, n_mc, seed)
-    formula = _mc_aggregates(config.t_grid, state, draws)[0]["var_numerator_all"]
-    result = {"seed": seed, "k": state.k, "formula": formula, "schemes": {}}
+    draws = standard_factor_draws(state.model.k, n_mc, seed)
+    formula = _mc_aggregates(config, state, draws)[0]["var_numerator_all"]
+    result = {"seed": seed, "k": state.model.k, "formula": formula, "schemes": {}}
     for scheme, draw in DRAWS.items():
         started = time.perf_counter()
         false_counts = np.empty(config.n_reps)

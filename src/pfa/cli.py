@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .factors import build_factor_model, select_num_factors, standard_factor_draws
-from .fdr import UnreachableAlphaError, solve_threshold
+from .factors import DEFAULT_EPSILON, DEFAULT_N_MC, build_factor_model, select_num_factors, standard_factor_draws
+from .fdr import DEFAULT_TOL, UnreachableAlphaError, solve_threshold
 from .harness import (
     ExperimentConfig,
     convergence_configs,
+    json_text,
     read_matrix_csv,
     read_vector_csv,
     run_convergence,
@@ -32,7 +33,7 @@ from .harness import (
     run_experiment,
     write_output,
 )
-from .lad import RankDeficientError, ZeroEigenvalueError
+from .lad import DEFAULT_FRACTION, RankDeficientError, ZeroEigenvalueError
 from .linalg import NotPSDError, NotSymmetricError, spectral_decompose
 from .simulate import Scenario, check_keys
 
@@ -43,7 +44,7 @@ EXIT_NUMERIC = 4
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -118,10 +119,13 @@ def _cmd_control(args: argparse.Namespace) -> int:
     _require(args.tol > 0.0, f"tol must be positive, got {args.tol}")
     _require(args.seed >= 0, f"seed must not be negative, got {args.seed}")
     sigma = read_matrix_csv(args.sigma)
+    _require(args.p1 <= sigma.dim, f"{args.sigma}: p1 is {args.p1} but the matrix has dimension {sigma.dim}")
     system = spectral_decompose(sigma, args.epsilon)
-    del sigma  # the only p x p array left, which would otherwise sit under the solve's memory peak
     k = select_num_factors(system, args.epsilon)
+    tail_energy = system.tail_energy(k)
     model = build_factor_model(system, k)
+    # Both can hold a p x p array (the system on the full decomposition), which would sit under the solve's peak.
+    del sigma, system
     draws = standard_factor_draws(k, args.mc, args.seed)
     try:
         result = solve_threshold(args.alpha, model, args.p1, draws, tol=args.tol)
@@ -147,7 +151,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
             "mc_draws": args.mc,
             "seed": args.seed,
             "k": k,
-            "tail_energy_at_k": system.tail_energy(k),
+            "tail_energy_at_k": tail_energy,
             "p1": args.p1,
             "curve": [{"t": t, "fdr": fdr} for t, fdr in result.curve],
             "solver": {"evaluations": result.evaluations, "converged": result.converged},
@@ -168,13 +172,13 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
             t_grid=tuple(data["t_grid"]),
             n_reps=data["n_reps"],
             seed=data["seed"],
-            epsilon=data.get("epsilon", 0.01),
+            epsilon=data.get("epsilon", DEFAULT_EPSILON),
         )
         convergence_configs(**settings)  # a bad setting fails here, naming the file, before any output
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
         raise ValueError(f"{args.config}: {exc}") from None
     summary = run_convergence(**settings, out_dir=args.out)
-    sys.stdout.write(json.dumps(summary["ks"], indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json_text(summary["ks"]))
     return EXIT_OK
 
 
@@ -198,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--sigma", required=True, help="correlation matrix CSV")
     estimate.add_argument("--z", required=True, help="observed statistics CSV")
     estimate.add_argument("--t", type=float, required=True, help="p-value threshold")
-    estimate.add_argument("--epsilon", type=float, default=0.01)
-    estimate.add_argument("--fraction", type=float, default=0.75)
+    estimate.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    estimate.add_argument("--fraction", type=float, default=DEFAULT_FRACTION)
     estimate.add_argument("--out", help="write the JSON report here instead of stdout")
     estimate.set_defaults(func=_cmd_estimate)
 
@@ -207,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument("--sigma", required=True, help="correlation matrix CSV")
     control.add_argument("--p1", type=int, required=True, help="number of false nulls (assumed known)")
     control.add_argument("--alpha", type=float, required=True, help="target rate")
-    control.add_argument("--epsilon", type=float, default=0.01)
-    control.add_argument("--mc", type=int, default=10000)
-    control.add_argument("--tol", type=float, default=1e-4)
+    control.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    control.add_argument("--mc", type=int, default=DEFAULT_N_MC)
+    control.add_argument("--tol", type=float, default=DEFAULT_TOL)
     control.add_argument("--seed", type=int, default=0)
     control.add_argument("--out", help="write the JSON result here instead of stdout")
     control.set_defaults(func=_cmd_control)

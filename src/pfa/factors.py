@@ -54,22 +54,30 @@ _CDF_SLICE = 64
 class FactorModel:
     """Loadings and residual precision scales for the first k factors."""
 
-    p: int
-    k: int
     loadings: np.ndarray        # (p, k); column h is sqrt(lambda_h) * gamma_h
     a: np.ndarray               # (p,); (1 - sum_h b_ih^2)^(-1/2), capped
     eigenvalues: np.ndarray     # the leading eigenvalues the decomposition held, at least k
     degenerate_rows: np.ndarray  # indices where the cap fired
+
+    @property
+    def p(self) -> int:
+        return self.loadings.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.loadings.shape[1]
 
 
 @dataclass(frozen=True)
 class FdpReport:
     """Estimated false-discovery summary at one threshold."""
 
-    threshold: float
     n_rejected: int
     est_false_count: float
     fdp: float
+
+
+DEFAULT_EPSILON = 0.01
 
 
 def select_num_factors(system: EigenSystem, epsilon: float) -> int:
@@ -111,14 +119,7 @@ def build_factor_model(system: EigenSystem, k: int) -> FactorModel:
     a = np.full(p, A_CAP)
     ok = residual >= DEGENERATE_RESIDUAL
     a[ok] = 1.0 / np.sqrt(residual[ok])
-    return FactorModel(
-        p=p,
-        k=k,
-        loadings=loadings,
-        a=a,
-        eigenvalues=values.copy(),
-        degenerate_rows=degenerate,
-    )
+    return FactorModel(loadings=loadings, a=a, eigenvalues=values.copy(), degenerate_rows=degenerate)
 
 
 def numerator_over_draws(
@@ -199,6 +200,7 @@ def numerator_over_draws(
                     # Forming an argument costs less than compressing it, and the last threshold keeps none.
                     if 2 * above.size < eta_kept.size and step + 1 < len(sweep):
                         kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
+                    del above, at_above, values  # else this side's survivors outlive it under the next one's
                 over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
                 if nulls is not None:
                     # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
@@ -239,15 +241,13 @@ def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray)
     pvalues = two_sided_pvalue(z)
     n_rejected = int(np.count_nonzero(pvalues <= t))
     if n_rejected == 0:
-        return FdpReport(threshold=t, n_rejected=0, est_false_count=0.0, fdp=0.0)
+        return FdpReport(n_rejected=0, est_false_count=0.0, fdp=0.0)
     numerator = float(numerator_over_draws(t, model, np.asarray(w_hat, dtype=float)[None, :])[0][0])
     est_false = min(numerator, float(n_rejected))
-    return FdpReport(
-        threshold=t,
-        n_rejected=n_rejected,
-        est_false_count=est_false,
-        fdp=est_false / n_rejected,
-    )
+    return FdpReport(n_rejected=n_rejected, est_false_count=est_false, fdp=est_false / n_rejected)
+
+
+DEFAULT_N_MC = 10000
 
 
 def standard_factor_draws(k: int, n_mc: int, seed: int) -> np.ndarray:

@@ -121,12 +121,15 @@ def mean_fdr(counts: np.ndarray, p1: int) -> float:
     return float(np.mean(np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0.0)))
 
 
+DEFAULT_TOL = 1e-4
+
+
 def solve_threshold(
     alpha: float,
     model: FactorModel,
     p1: int,
     draws: np.ndarray,
-    tol: float = 1e-4,
+    tol: float = DEFAULT_TOL,
 ) -> ControlResult:
     """The threshold whose approximate FDR lies within tol of alpha.
 

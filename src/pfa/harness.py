@@ -36,6 +36,8 @@ from scipy.stats import ks_2samp
 
 from . import __version__
 from .factors import (
+    DEFAULT_EPSILON,
+    DEFAULT_N_MC,
     FactorModel,
     build_factor_model,
     estimate_fdp,
@@ -46,7 +48,7 @@ from .factors import (
 )
 from .fdr import approx_fdr_curve, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
 from .gauss import two_sided_pvalue
-from .lad import FactorFit, lad_regress, select_calibration_set
+from .lad import DEFAULT_FRACTION, FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
 from .simulate import Scenario, check_ints, check_keys, check_reals, generate_design, real, realized_counts, standardize
 
@@ -121,9 +123,9 @@ class ExperimentConfig:
     t_grid: tuple[float, ...]
     n_reps: int
     seed: int
-    n_mc: int = 10000
-    epsilon: float = 0.01
-    calibration_fraction: float = 0.75
+    n_mc: int = DEFAULT_N_MC
+    epsilon: float = DEFAULT_EPSILON
+    calibration_fraction: float = DEFAULT_FRACTION
     with_estimators: bool = True
     control_alpha: float | None = None
 
@@ -166,18 +168,12 @@ class ExperimentConfig:
 class ScenarioState:
     """Per-experiment fixed state: design summary, factor model, shifts."""
 
-    scenario: Scenario
     key: tuple[int, ...]
     x: np.ndarray  # standardized n x p design over sqrt(n-1): x'x is sigma_hat
     model: FactorModel
     tail_energy: float  # Frobenius norm of sigma_hat's spectrum beyond the first k
     mu: np.ndarray
     true_nulls: np.ndarray
-    false_nulls: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.model.k
 
 
 @dataclass(eq=False)
@@ -220,18 +216,15 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     k = select_num_factors(system, config.epsilon)
     model = build_factor_model(system, k)
     p, p1 = config.scenario.p, config.scenario.p1
-    false_nulls = np.arange(p1, dtype=np.intp)
     mu = np.zeros(p)
-    mu[false_nulls] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[false_nulls] / config.scenario.sigma
+    mu[:p1] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[:p1] / config.scenario.sigma
     return ScenarioState(
-        scenario=config.scenario,
         key=tuple(key),
         x=x,
         model=model,
         tail_energy=system.tail_energy(k),
         mu=mu,
         true_nulls=np.arange(p1, p, dtype=np.intp),
-        false_nulls=false_nulls,
     )
 
 
@@ -269,7 +262,7 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
             columns[name][rep] = v / max(rejections.size, 1)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
-        p0 = state.scenario.p - state.scenario.p1
+        p0 = config.scenario.p - config.scenario.p1
         for j, t in enumerate(config.t_grid):
             columns["fdp_pfa"][rep, j] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
             columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0)
@@ -294,7 +287,7 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
     rng = substream(config.seed, _NS_REPLICATION, *state.key)
     for start in range(0, config.n_reps, chunk_size):
         reps = range(start, min(start + chunk_size, config.n_reps))
-        noise = rng.standard_normal((len(reps), state.scenario.n))
+        noise = rng.standard_normal((len(reps), config.scenario.n))
         statistics = (noise if len(reps) > 1 else np.vstack([noise, noise])) @ state.x
         statistics = statistics[: len(reps)]
         statistics += state.mu
@@ -306,10 +299,10 @@ def _chunk_counts(t_grid: tuple[float, ...], state: ScenarioState, statistics: n
     return np.stack([realized_counts(statistics, state.true_nulls, t) for t in t_grid], axis=-1)
 
 
-def _mc_aggregates(t_grid: tuple[float, ...], state: ScenarioState, draws: np.ndarray) -> list[dict]:
+def _mc_aggregates(config: ExperimentConfig, state: ScenarioState, draws: np.ndarray) -> list[dict]:
     """The `_MC_KEYS` at each t from one numerator sweep; for k = 0 exactly p t / (p t + p1), 0 and 0."""
-    p1 = state.scenario.p1
-    if state.k == 0:
+    t_grid, p1 = config.t_grid, config.scenario.p1
+    if state.model.k == 0:
         return [dict(zip(_MC_KEYS, (fdr, 0.0, 0.0))) for fdr in approx_fdr_curve(t_grid, state.model, p1, draws)]
     sums = numerator_over_draws(np.asarray(t_grid), state.model, draws, nulls=state.true_nulls)
     return [
@@ -355,14 +348,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     aggregates: dict = {
         "version": __version__,
         "config": config.to_dict(),
-        "k": state.k,
+        "k": state.model.k,
         "tail_energy_at_k": state.tail_energy,
         "n_degenerate_rows": int(state.model.degenerate_rows.size),
-        "false_nulls": state.false_nulls.tolist(),
+        "false_nulls": list(range(config.scenario.p1)),
         "per_t": {},
     }
-    draws = standard_factor_draws(state.k, config.n_mc, config.seed)
-    for j, (t, mc) in enumerate(zip(config.t_grid, _mc_aggregates(config.t_grid, state, draws))):
+    draws = standard_factor_draws(state.model.k, config.n_mc, config.seed)
+    for j, (t, mc) in enumerate(zip(config.t_grid, _mc_aggregates(config, state, draws))):
         aggregates["per_t"][_t_key(t)] = {**_aggregate_per_t(columns, j), **mc}
     return ExperimentOutput(config=config, columns=columns, aggregates=aggregates)
 
@@ -373,7 +366,7 @@ def variance_study(
     n_reps: int,
     n_mc: int,
     seed: int,
-    epsilon: float = 0.01,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> dict:
     """Empirical false-count variance versus the factor-formula MC variance.
 
@@ -401,6 +394,11 @@ def _t_key(t: float) -> str:
     return repr(float(t))
 
 
+def json_text(payload: dict) -> str:
+    """The text of every JSON output: indented, keys sorted, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, Path]:
     """Write records.csv and aggregates.json under out_dir."""
     out_dir = Path(out_dir)
@@ -411,9 +409,7 @@ def write_output(output: ExperimentOutput, out_dir: str | Path) -> tuple[Path, P
         writer.writerow(RECORD_COLUMNS)
         writer.writerows(output._rows())  # a float as its repr, None as an empty cell
     aggregates_path = out_dir / "aggregates.json"
-    with aggregates_path.open("w") as handle:
-        json.dump(output.aggregates, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    aggregates_path.write_text(json_text(output.aggregates))
     return records_path, aggregates_path
 
 
@@ -471,8 +467,8 @@ def run_estimate(
     z: np.ndarray,
     sigma: CorrelationMatrix,
     t: float,
-    epsilon: float = 0.01,
-    fraction: float = 0.75,
+    epsilon: float = DEFAULT_EPSILON,
+    fraction: float = DEFAULT_FRACTION,
 ) -> dict:
     """Full estimation pipeline on observed statistics and known correlation.
 
@@ -504,7 +500,9 @@ def run_estimate(
     }
 
 
-def convergence_configs(scenario: Scenario, p_grid, t_grid, n_reps, seed, epsilon=0.01) -> list[ExperimentConfig]:
+def convergence_configs(
+    scenario: Scenario, p_grid, t_grid, n_reps, seed, epsilon=DEFAULT_EPSILON
+) -> list[ExperimentConfig]:
     """One experiment config per dimension of a convergence study; a bad setting fails here, before any work."""
     base = ExperimentConfig(scenario, tuple(t_grid), n_reps, seed, epsilon=epsilon, with_estimators=False)
     configs = [replace(base, scenario=scenario.with_p(p)) for p in p_grid]
@@ -520,7 +518,7 @@ def run_convergence(
     t_grid: tuple[float, ...],
     n_reps: int,
     seed: int,
-    epsilon: float = 0.01,
+    epsilon: float = DEFAULT_EPSILON,
     out_dir: str | Path | None = None,
 ) -> dict:
     """Empirical FDP distribution versus its factor-driven limit, per p.
@@ -555,7 +553,7 @@ def run_convergence(
         for reps, statistics in _draw_statistics(config, state):
             v, _, r = _chunk_counts(config.t_grid, state, statistics)
             empirical[reps.start : reps.stop] = v / np.maximum(r, 1)
-        draws = substream(seed, _NS_LIMIT, p_index).standard_normal((n_reps, state.k))
+        draws = substream(seed, _NS_LIMIT, p_index).standard_normal((n_reps, state.model.k))
         limit = fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)
 
         for j, t in enumerate(t_grid):
@@ -570,9 +568,7 @@ def run_convergence(
                     writer.writerow(["bin_left", "bin_right", "count_empirical", "count_limit"])
                     writer.writerows(zip(lefts, rights, counts_emp.tolist(), counts_lim.tolist()))
     if out_dir is not None:
-        with (out_dir / "convergence_summary.json").open("w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        (out_dir / "convergence_summary.json").write_text(json_text(summary))
     return summary
 
 
@@ -583,14 +579,15 @@ def _read_csv(path: Path, width: int | None) -> np.ndarray:
     rejects, or whose array is empty, of the wrong width or not finite,
     is read again by `_scan_csv`, which names the bad line and also takes
     the spellings only Python's `float` accepts (`1_0`, non-ASCII digits).
-    Both round correctly, so a file both accept gives the same bits.
+    Both round correctly, so a file both accept gives the same bits. A
+    UTF-8 byte-order mark opening the file, as spreadsheets write, is skipped.
 
     Given the file's line count as its row limit, the C reader allocates
     the array once instead of growing it by reallocation, which leaves
     freed blocks of up to the array's size behind in the heap.
     """
     try:
-        with path.open(encoding="utf-8") as handle, warnings.catch_warnings():
+        with path.open(encoding="utf-8-sig") as handle, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty input warns; `_scan_csv` reports it
             rows = _line_count(path)
             entries = np.loadtxt(handle, delimiter=",", dtype=float, ndmin=2, comments=None, max_rows=rows)
@@ -620,7 +617,7 @@ def _scan_csv(path: Path, width: int | None) -> np.ndarray:
     is not UTF-8 fails on the line that holds it.
     """
     rows: list[np.ndarray] = []
-    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -646,7 +643,7 @@ def read_matrix_csv(path: str | Path) -> CorrelationMatrix:
     path = Path(path)
     entries = _read_csv(path, None)
     try:
-        return CorrelationMatrix.from_entries(entries)
+        return CorrelationMatrix(entries)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

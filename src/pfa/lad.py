@@ -64,6 +64,9 @@ class FactorFit:
     converged: bool
 
 
+DEFAULT_FRACTION = 0.75
+
+
 def select_calibration_set(z: np.ndarray, fraction: float) -> np.ndarray:
     """Sorted indices of the round(fraction * p) statistics with smallest |z|.
 

@@ -68,15 +68,12 @@ class NotPSDError(ValueError):
 class CorrelationMatrix:
     """p x p symmetric matrix with unit diagonal; entries are correlations."""
 
-    dim: int
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        if entries.shape[0] != self.dim:
-            raise ValueError(f"dim={self.dim} does not match shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("correlation matrix has non-finite entries")
         if not np.array_equal(entries, entries.T):
@@ -85,17 +82,16 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix diagonal must be exactly 1")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_entries(cls, entries) -> "CorrelationMatrix":
-        entries = np.asarray(entries, dtype=float)
-        return cls(dim=entries.shape[0], entries=entries)
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     @classmethod
     def from_gram(cls, gram: np.ndarray) -> "CorrelationMatrix":
         """Gram matrix of unit-norm columns, made exactly symmetric with unit diagonal."""
         entries = (gram + gram.T) / 2.0
         np.fill_diagonal(entries, 1.0)
-        return cls.from_entries(entries)
+        return cls(entries)
 
 
 @dataclass(frozen=True)
@@ -122,10 +118,6 @@ class EigenSystem:
             squares = np.square(self.values)
             object.__setattr__(self, "tail_sq", np.concatenate([np.cumsum(squares[::-1])[::-1], [0.0]]))
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
     def tail_energy(self, k: int) -> float:
         """Frobenius norm of the spectrum beyond the first k eigenvalues, the number `within` compares."""
         if k < 0 or k >= self.tail_sq.shape[0]:
@@ -141,7 +133,7 @@ def equal_correlation(p: int, rho: float) -> CorrelationMatrix:
     """Exchangeable correlation matrix: unit diagonal, rho off-diagonal."""
     entries = np.full((p, p), float(rho))
     np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix(dim=p, entries=entries)
+    return CorrelationMatrix(entries)
 
 
 def spectral_decompose(sigma: CorrelationMatrix, epsilon: float | None = None) -> EigenSystem:

@@ -321,8 +321,6 @@ def test_criterion_7_exchangeable_limit_closed_form():
     loadings = np.full((p, 1), np.sqrt(rho))
     scale = np.full(p, 1.0 / np.sqrt(1.0 - rho))
     model = FactorModel(
-        p=p,
-        k=1,
         loadings=loadings,
         a=scale,
         eigenvalues=np.ones(p),

@@ -222,16 +222,32 @@ class TestControlCommand:
             matrices.extend([weakref.ref(sigma), weakref.ref(sigma.entries)])
             return sigma
 
+        def decompose(sigma, epsilon):
+            # k = 282 lies beyond the window, so the system holds all 300 x 300 eigenvectors.
+            system = spectral_decompose(sigma, epsilon)
+            assert system.vectors.shape == (300, 300)
+            matrices.append(weakref.ref(system))
+            return system
+
         def solve(*args, **kwargs):
             gc.collect()
             alive_at_solve.extend(ref() is not None for ref in matrices)
             raise UnreachableAlphaError(0.1, 0.5, 0.2, "high")
 
         monkeypatch.setattr(cli, "read_matrix_csv", read_matrix)
+        monkeypatch.setattr(cli, "spectral_decompose", decompose)
         monkeypatch.setattr(cli, "solve_threshold", solve)
         assert main(["control", "--sigma", "unused.csv", "--p1", "5", "--alpha", "0.1", "--mc", "50"]) == 3
-        assert alive_at_solve == [False, False]
+        assert alive_at_solve == [False, False, False]
         assert json.loads(capsys.readouterr().out)["unreachable"] is True
+
+    @pytest.mark.parametrize("p1", ["51", "80"])
+    def test_p1_beyond_the_dimension_is_reported_before_the_decomposition(self, tmp_path, monkeypatch, capsys, p1):
+        sigma_path = tmp_path / "sigma.csv"
+        write_matrix(sigma_path, equal_correlation(50, 0.0).entries)
+        monkeypatch.setattr(cli, "spectral_decompose", None)  # a call would fail with a TypeError
+        assert main(["control", "--sigma", str(sigma_path), "--p1", p1, "--alpha", "0.1"]) == 2
+        assert f"error: {sigma_path}: p1 is {p1} but the matrix has dimension 50" in capsys.readouterr().err
 
 
 class TestArgumentsCheckedBeforeFiles:

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import tracemalloc
@@ -141,7 +142,6 @@ class TestPrepareScenario:
         state = prepare_scenario(config)
         _, sds = standardize(generate_design(config.scenario, substream(config.seed, _NS_DESIGN)))
         np.testing.assert_allclose(state.mu[:5], np.sqrt(100) * sds[:5] / 2.0)
-        np.testing.assert_array_equal(state.false_nulls, np.arange(5))
         np.testing.assert_array_equal(state.true_nulls, np.arange(5, 60))
         assert np.all(state.mu[5:] == 0.0)
         assert np.all(state.mu[state.true_nulls] == 0.0)
@@ -161,8 +161,8 @@ class TestPrepareScenario:
         values = state.model.eigenvalues
         assert values.shape == (300,)
         assert np.max(np.abs(values - dense.values)) <= 1e-10 * dense.values[0]
-        assert state.k == select_num_factors(dense, config.epsilon)
-        dense_loadings = build_factor_model(dense, state.k).loadings
+        assert state.model.k == select_num_factors(dense, config.epsilon)
+        dense_loadings = build_factor_model(dense, state.model.k).loadings
         np.testing.assert_allclose(
             state.model.loadings @ state.model.loadings.T, dense_loadings @ dense_loadings.T, rtol=0, atol=1e-10
         )
@@ -378,7 +378,7 @@ def whole_tail_energy(state):
     The squares are summed from the smallest up, in the order `EigenSystem.tail_sq` sums them, so
     the comparison can be exact.
     """
-    return float(np.sqrt(np.cumsum(np.square(state.model.eigenvalues)[::-1])[::-1][state.k]))
+    return float(np.sqrt(np.cumsum(np.square(state.model.eigenvalues)[::-1])[::-1][state.model.k]))
 
 
 class TestVarianceStudy:
@@ -407,7 +407,7 @@ class TestVarianceStudy:
             scenario=scenario, t_grid=(0.01,), n_reps=50, seed=5, n_mc=50, with_estimators=False
         )
         state = prepare_scenario(config)
-        assert result["k"] == state.k
+        assert result["k"] == state.model.k
         assert result["tail_energy_at_k"] == whole_tail_energy(state)
         assert 0.0 < result["tail_energy_at_k"] < 0.01 * scenario.p
 
@@ -422,7 +422,7 @@ class TestOutputFiles:
         assert {row["lad_converged"] for row in loaded.records} == {1}
         assert loaded.aggregates["per_t"][repr(0.01)]["n_lad_uncertified"] == 0
         state = prepare_scenario(small_config())
-        assert loaded.aggregates["k"] == state.k
+        assert loaded.aggregates["k"] == state.model.k
         assert loaded.aggregates["tail_energy_at_k"] == whole_tail_energy(state)
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -865,6 +865,33 @@ class TestFileReaders:
         z_path.write_text("0.5\n")
         z = read_vector_csv(z_path)
         assert z.shape == (1,) and z[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("matrix", "1.0,0.5\n0.5,1.0\n"),
+            ("matrix", " 1 , 5e-1\n+.5,1_0e-1\n"),
+            ("vector", "0.1\n-2.5\n"),
+            ("vector", "1_0\n0.2\n"),
+        ],
+    )
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, kind, text):
+        # Spreadsheets' "CSV UTF-8" export opens the file with one. The second file of each kind only
+        # the line scanner parses.
+        read = {"matrix": lambda path: read_matrix_csv(path).entries, "vector": read_vector_csv}[kind]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert read(marked).tobytes() == read(plain).tobytes()
+
+    @pytest.mark.parametrize(
+        "read, text", [(read_matrix_csv, "1.0,0.5\n\ufeff0.5,1.0\n"), (read_vector_csv, "0.1\n\ufeff0.2\n")]
+    )
+    def test_a_later_byte_order_mark_names_its_line(self, tmp_path, read, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=r"bom\.csv:2: could not parse"):
+            read(path)
 
     def test_non_square_matrix_names_the_file(self, tmp_path):
         path = tmp_path / "wide.csv"

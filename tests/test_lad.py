@@ -308,7 +308,7 @@ class TestLadMatchesLinearProgram:
             epsilon=1e-6,
         )
         state = prepare_scenario(config)
-        assert state.k == 99
+        assert state.model.k == 99
         _, statistics = next(_draw_statistics(config, state))
         rows = select_calibration_set(statistics[41], config.calibration_fraction)
         design, z = state.model.loadings[rows], statistics[41][rows]
@@ -466,7 +466,7 @@ class TestMisspecificationBound:
             np.fill_diagonal(entries, 1.0)
             from pfa.linalg import CorrelationMatrix
 
-            system = spectral_decompose(CorrelationMatrix.from_entries(entries))
+            system = spectral_decompose(CorrelationMatrix(entries))
             k = int(rng.integers(1, min(5, p)))
             model = build_factor_model(system, k)
             mu = np.zeros(p)
@@ -498,8 +498,6 @@ def test_estimation_error_shrinks_with_more_rows():
     mu = np.zeros(p)
     mu[p - p1 :] = 6.0
     model = FactorModel(
-        p=p,
-        k=2,
         loadings=loadings,
         a=1.0 / residual_sd,
         eigenvalues=np.ones(p),

@@ -27,7 +27,7 @@ def random_correlation(rng, p, n=None):
     entries = standardized.T @ standardized / (n - 1)
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix(entries)
 
 
 def test_identity_eigenvalues():
@@ -117,14 +117,14 @@ def two_factor_correlation(rng, p, n):
     entries = standardized.T @ standardized / (n - 1)
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix(entries)
 
 
 def shrunk_two_factor_correlation(rng, p, n, weight=0.05):
     """(1 - weight) times a two-factor sample correlation plus weight * I: full rank, every eigenvalue >= weight."""
     entries = (1.0 - weight) * two_factor_correlation(rng, p, n).entries
     entries[np.diag_indices(p)] = 1.0
-    return CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix(entries)
 
 
 def record_calls(monkeypatch):
@@ -187,7 +187,7 @@ def test_partial_spectrum_matches_full_decomposition(case, monkeypatch):
 
     assert calls == {"windows": windows, "full": full_sizes, "checks": checks}
     assert partial.values.size == held
-    assert partial.vectors.shape == (sigma.dim, vectors_held) and partial.dim == sigma.dim
+    assert partial.vectors.shape == (sigma.dim, vectors_held)
     k = select_num_factors(partial, epsilon)
     assert k == select_num_factors(full, epsilon)
     np.testing.assert_allclose(partial.values, full.values[:held], rtol=0, atol=1e-12 * full.values[0])
@@ -223,7 +223,7 @@ def spiked_correlation(smallest):
     entries = entries * scale[:, None] * scale[None, :]
     entries = (entries + entries.T) / 2.0
     np.fill_diagonal(entries, 1.0)
-    return CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix(entries)
 
 
 @pytest.mark.parametrize("smallest", [0.05, -0.05])
@@ -250,7 +250,7 @@ def indefinite_low_rank_correlation():
     entries[0, 1] += 0.05
     entries[1, 0] = entries[0, 1]
     entries[np.diag_indices(300)] = 1.0
-    return CorrelationMatrix.from_entries(entries)
+    return CorrelationMatrix(entries)
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.5])
@@ -283,7 +283,7 @@ def test_partial_window_leaves_sigma_as_it_was(case, read_only):
     original = sigma.entries.copy()
     sigma.entries.flags.writeable = not read_only
     # The same matrix with the other flag is decomposed in the other storage: in place or in a copy.
-    other = CorrelationMatrix.from_entries(original.copy())
+    other = CorrelationMatrix(original.copy())
     other.entries.flags.writeable = read_only
     if error is not None:
         with pytest.raises(error):
@@ -370,20 +370,20 @@ def test_not_symmetric_rejected():
     entries = np.eye(3)
     entries[0, 1] = 0.2
     with pytest.raises(NotSymmetricError):
-        CorrelationMatrix.from_entries(entries)
+        CorrelationMatrix(entries)
 
 
 def test_not_unit_diagonal_rejected():
     entries = np.eye(3)
     entries[1, 1] = 0.99
     with pytest.raises(ValueError):
-        CorrelationMatrix.from_entries(entries)
+        CorrelationMatrix(entries)
 
 
 def test_not_psd_rejected():
     entries = np.array([[1.0, 0.99, -0.99], [0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]])
     with pytest.raises(NotPSDError):
-        spectral_decompose(CorrelationMatrix.from_entries(entries))
+        spectral_decompose(CorrelationMatrix(entries))
 
 
 def test_small_negative_eigenvalues_clamped():
