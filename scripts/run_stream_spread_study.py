@@ -62,7 +62,7 @@ def gaps(scenario, t, n_mc, seed, counts) -> dict:
         started = time.perf_counter()
         false_counts = np.empty(config.n_reps)
         for reps, statistics in draw(config, state):
-            false_counts[reps.start : reps.stop] = realized_counts(statistics, state.true_nulls, t)[0]
+            false_counts[reps.start : reps.stop] = realized_counts(statistics, scenario.p1, t)[0]
         seconds = time.perf_counter() - started
         by_count = {}
         for count in counts:

@@ -33,8 +33,8 @@ from .harness import (
     run_experiment,
     write_output,
 )
-from .lad import DEFAULT_FRACTION, RankDeficientError, ZeroEigenvalueError
-from .linalg import NotPSDError, NotSymmetricError, spectral_decompose
+from .lad import DEFAULT_FRACTION, RankDeficientError, TooManyFactorsError, ZeroEigenvalueError
+from .linalg import CorrelationMatrix, NotPSDError, NotSymmetricError, spectral_decompose
 from .simulate import Scenario, check_keys
 
 EXIT_OK = 0
@@ -98,17 +98,19 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _require(0.0 < args.epsilon < 1.0, f"epsilon must lie in (0, 1), got {args.epsilon}")
     _require(0.0 < args.fraction <= 1.0, f"fraction must lie in (0, 1], got {args.fraction}")
     z = read_vector_csv(args.z)
-    sigma = read_matrix_csv(args.sigma)
-    _require(z.size == sigma.dim, f"{args.z}: z has length {z.size} but the matrix has dimension {sigma.dim}")
-    report = run_estimate(
-        z,
-        sigma,
-        t=args.t,
-        epsilon=args.epsilon,
-        fraction=args.fraction,
-    )
+    try:
+        # The matrix is passed straight in, with no name here: run_estimate frees it before the LAD fit.
+        report = run_estimate(z, _sigma_for(args, z), t=args.t, epsilon=args.epsilon, fraction=args.fraction)
+    except TooManyFactorsError as exc:
+        raise ValueError(f"{args.sigma}: {exc}; raise --epsilon for fewer or --fraction for more rows") from None
     _emit(report, args.out)
     return EXIT_OK
+
+
+def _sigma_for(args: argparse.Namespace, z: np.ndarray) -> CorrelationMatrix:
+    sigma = read_matrix_csv(args.sigma)
+    _require(z.size == sigma.dim, f"{args.z}: z has length {z.size} but the matrix has dimension {sigma.dim}")
+    return sigma
 
 
 def _cmd_control(args: argparse.Namespace) -> int:

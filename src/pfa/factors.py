@@ -10,8 +10,8 @@ concentrates on
 
 `numerator_over_draws` evaluates the terms once for every row of a matrix
 of factor realizations (a fitted realization is a one-row matrix) and sums
-them over all indices and over the true nulls. The estimate, the limiting
-FDP, the approximate FDR and the count's variance are sums or ratios of these.
+them over all indices and over the true nulls, all but the first p1. The estimate,
+the limiting FDP, the approximate FDR and the count's variance are sums or ratios of these.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def numerator_over_draws(
     t: float | np.ndarray,
     model: FactorModel,
     draws: np.ndarray,
-    nulls: np.ndarray | None = None,
+    p1: int | None = None,
     shift: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Conditional false-discovery count at threshold t, one per row of draws.
@@ -136,13 +136,13 @@ def numerator_over_draws(
     with s = B W + mu, where mu is `shift`, the length-p mean shifts (zero
     when None). The terms are evaluated once per block of rows and summed
     twice: over all indices (`over_all`, the conservative surrogate the
-    estimator uses) and over the index set `nulls` (`over_nulls`, None when
-    `nulls` is None). With nulls the true nulls, where mu vanishes, the
-    second sum is the exact limiting count. For a 1-D array t, the sums
+    estimator uses) and over the indices from p1 on (`over_nulls`, None when
+    p1 is None). With the p1 false nulls first and mu vanishing beyond them,
+    the second sum is the exact limiting count. For a 1-D array t, the sums
     have one row per threshold, in the order given.
 
-    Each sum is at least Phi(a_low z_{t/2}), a_low the smallest a_i over `nulls` (over all indices
-    without them), so terms with arguments at or below c = Phi^-1(2^-54 Phi(a_low z_{t/2}) / (2p))
+    Each sum is at least Phi(a_low z_{t/2}), a_low the smallest a_i from p1 on (over all indices
+    when p1 is None or p), so terms with arguments at or below c = Phi^-1(2^-54 Phi(a_low z_{t/2}) / (2p))
     count as 0: the at most 2p of them change a sum by less than 2^-54 of it. In z = z_{t/2} an
     argument a_i (z + s_i) rises at rate a_i >= a_low and c at rate a_low lambda(a_low z) /
     lambda(c) < a_low (the hazard lambda = phi / Phi decreases; c < a_low z), so a term cut at t
@@ -156,15 +156,17 @@ def numerator_over_draws(
     draws = np.asarray(draws, dtype=float)
     n = draws.shape[0]
     over_all = np.empty(thresholds.shape + (n,))
-    over_nulls = None if nulls is None else np.empty_like(over_all)
-    a_low = np.min(model.a[nulls] if nulls is not None and len(nulls) else model.a)
+    if p1 is not None and not 0 <= p1 <= model.p:
+        raise ValueError(f"p1 must lie in [0, {model.p}], got {p1}")
+    over_nulls = None if p1 is None else np.empty_like(over_all)
+    a_low = np.min(model.a if p1 in (None, model.p) else model.a[p1:])
     sweep = []  # (row of the sums, z_{t/2}, c), the largest threshold first
     for j in np.argsort(-thresholds.ravel(), kind="stable"):
         z_half = norm_quantile(0.5 * thresholds.flat[j])
         negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
         sweep.append((j, z_half, norm_quantile(negligible) if negligible > 0.0 else -np.inf))
     # Blocks reused by every slice: the shifts of a matmul block, and per slice the terms, one
-    # side's flat arguments (then the gathered null columns) and a tiled over the slice's rows.
+    # side's flat arguments and a tiled over the slice's rows.
     eta_block = np.empty((min(_DRAW_CHUNK, n), model.p))
     terms_block = np.empty((min(_CDF_SLICE, eta_block.shape[0]), model.p))
     args_block = np.empty(terms_block.size)
@@ -202,11 +204,8 @@ def numerator_over_draws(
                         kept[side] = at_above, eta_kept.take(above), a_kept.take(above)
                     del above, at_above, values  # else this side's survivors outlive it under the next one's
                 over_all.reshape(-1, n)[j, start:stop] = np.sum(terms, axis=1)
-                if nulls is not None:
-                    # Gathered C-ordered into spent storage, the null columns sum as in a null-only model.
-                    gathered = args_block[: rows * len(nulls)].reshape(rows, len(nulls))
-                    sums = np.sum(np.take(terms, nulls, axis=1, out=gathered, mode="wrap"), axis=1)
-                    over_nulls.reshape(-1, n)[j, start:stop] = sums
+                if p1 is not None:
+                    over_nulls.reshape(-1, n)[j, start:stop] = np.sum(terms[:, p1:], axis=1)
     return over_all, over_nulls
 
 
@@ -214,11 +213,11 @@ def fdp_limit(
     t: float | np.ndarray,
     model: FactorModel,
     mu: np.ndarray,
-    true_nulls: np.ndarray,
+    p1: int,
     draws: np.ndarray,
 ) -> np.ndarray:
-    """Limiting FDP for each row of `draws` (a row of them per threshold of a 1-D t); mu is 0 on true_nulls."""
-    denominator, numerator = numerator_over_draws(t, model, draws, nulls=true_nulls, shift=mu)
+    """Limiting FDP for each row of `draws` (a row of them per threshold of a 1-D t); mu is 0 from p1 on."""
+    denominator, numerator = numerator_over_draws(t, model, draws, p1=p1, shift=mu)
     ratios = np.divide(
         numerator,
         denominator,

@@ -172,8 +172,7 @@ class ScenarioState:
     x: np.ndarray  # standardized n x p design over sqrt(n-1): x'x is sigma_hat
     model: FactorModel
     tail_energy: float  # Frobenius norm of sigma_hat's spectrum beyond the first k
-    mu: np.ndarray
-    true_nulls: np.ndarray
+    mu: np.ndarray  # the mean shifts, zero beyond the p1 false nulls
 
 
 @dataclass(eq=False)
@@ -215,17 +214,10 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     system = gram_spectrum(x)
     k = select_num_factors(system, config.epsilon)
     model = build_factor_model(system, k)
-    p, p1 = config.scenario.p, config.scenario.p1
-    mu = np.zeros(p)
+    p1 = config.scenario.p1
+    mu = np.zeros(config.scenario.p)
     mu[:p1] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[:p1] / config.scenario.sigma
-    return ScenarioState(
-        key=tuple(key),
-        x=x,
-        model=model,
-        tail_energy=system.tail_energy(k),
-        mu=mu,
-        true_nulls=np.arange(p1, p, dtype=np.intp),
-    )
+    return ScenarioState(key=tuple(key), x=x, model=model, tail_energy=system.tail_energy(k), mu=mu)
 
 
 def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[FactorFit, int]:
@@ -254,18 +246,15 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
     """Write replication rep's estimator and step-up cells into `columns`."""
     pvalues = two_sided_pvalue(z)
     if config.control_alpha is not None:
-        for name, rejections in (
-            ("fdp_bh_proc", bh_procedure(pvalues, config.control_alpha)),
-            ("fdp_storey_proc", storey_procedure(pvalues, config.control_alpha)),
-        ):
-            v = np.count_nonzero(np.isin(rejections.indices, state.true_nulls))
+        for name, procedure in (("fdp_bh_proc", bh_procedure), ("fdp_storey_proc", storey_procedure)):
+            rejections = procedure(pvalues, config.control_alpha)
+            v = np.count_nonzero(rejections.indices >= config.scenario.p1)  # the true nulls, from p1 on
             columns[name][rep] = v / max(rejections.size, 1)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
-        p0 = config.scenario.p - config.scenario.p1
         for j, t in enumerate(config.t_grid):
             columns["fdp_pfa"][rep, j] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
-            columns["fdp_efron"][rep, j] = efron_estimate(z, t, p0)
+            columns["fdp_efron"][rep, j] = efron_estimate(z, t, config.scenario.p - config.scenario.p1)
             columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t), 1.0)
         columns["lad_converged"][rep] = int(fit.converged)
         columns["lad_iterations"][rep] = fit.iterations
@@ -294,9 +283,9 @@ def _draw_statistics(config: ExperimentConfig, state: ScenarioState, chunk_size:
         yield reps, statistics
 
 
-def _chunk_counts(t_grid: tuple[float, ...], state: ScenarioState, statistics: np.ndarray) -> np.ndarray:
+def _chunk_counts(config: ExperimentConfig, statistics: np.ndarray) -> np.ndarray:
     """(3, reps, thresholds): V, S and R of each replication in a chunk, one batched count per t."""
-    return np.stack([realized_counts(statistics, state.true_nulls, t) for t in t_grid], axis=-1)
+    return np.stack([realized_counts(statistics, config.scenario.p1, t) for t in config.t_grid], axis=-1)
 
 
 def _mc_aggregates(config: ExperimentConfig, state: ScenarioState, draws: np.ndarray) -> list[dict]:
@@ -304,7 +293,7 @@ def _mc_aggregates(config: ExperimentConfig, state: ScenarioState, draws: np.nda
     t_grid, p1 = config.t_grid, config.scenario.p1
     if state.model.k == 0:
         return [dict(zip(_MC_KEYS, (fdr, 0.0, 0.0))) for fdr in approx_fdr_curve(t_grid, state.model, p1, draws)]
-    sums = numerator_over_draws(np.asarray(t_grid), state.model, draws, nulls=state.true_nulls)
+    sums = numerator_over_draws(np.asarray(t_grid), state.model, draws, p1=p1)
     return [
         dict(zip(_MC_KEYS, (mean_fdr(counts, p1), float(np.var(counts, ddof=1)), float(np.var(null_counts, ddof=1)))))
         for counts, null_counts in zip(*sums)
@@ -337,7 +326,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     columns = _empty_columns(config)
     for reps, statistics in _draw_statistics(config, state):
         rows = slice(reps.start, reps.stop)
-        columns["V"][rows], columns["S"][rows], columns["R"][rows] = _chunk_counts(config.t_grid, state, statistics)
+        columns["V"][rows], columns["S"][rows], columns["R"][rows] = _chunk_counts(config, statistics)
         if config.with_estimators or config.control_alpha is not None:
             # Indexed, not iterated: a row view still bound after the loop would keep this chunk alive
             # while the next one is counted, whose temporaries would then take fresh pages.
@@ -473,14 +462,18 @@ def run_estimate(
     """Full estimation pipeline on observed statistics and known correlation.
 
     Decompose, select the factor count, fit realized factors on the
-    calibration set, and estimate the FDP at threshold t.
+    calibration set, and estimate the FDP at threshold t. Sigma and its decomposition
+    are dropped before the fit, which frees them unless the caller holds sigma.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[0] != sigma.dim:
         raise ValueError(f"z has length {z.shape[0]} but the matrix has dimension {sigma.dim}")
     system = spectral_decompose(sigma, epsilon)
+    del sigma
     k = select_num_factors(system, epsilon)
+    tail_energy = system.tail_energy(k)
     model = build_factor_model(system, k)
+    del system
     fit, m = _fit_factors(model, z, fraction)
     report = estimate_fdp(t, z, model, fit.w_hat)
     return {
@@ -489,7 +482,7 @@ def run_estimate(
         "epsilon": epsilon,
         "fraction": fraction,
         "k": k,
-        "tail_energy_at_k": system.tail_energy(k),
+        "tail_energy_at_k": tail_energy,
         "m": m,
         "w_hat": fit.w_hat.tolist(),
         "R": report.n_rejected,
@@ -551,10 +544,10 @@ def run_convergence(
         state = prepare_scenario(config, (p_index,))
         empirical = np.empty((n_reps, len(t_grid)))
         for reps, statistics in _draw_statistics(config, state):
-            v, _, r = _chunk_counts(config.t_grid, state, statistics)
+            v, _, r = _chunk_counts(config, statistics)
             empirical[reps.start : reps.stop] = v / np.maximum(r, 1)
         draws = substream(seed, _NS_LIMIT, p_index).standard_normal((n_reps, state.model.k))
-        limit = fdp_limit(np.asarray(t_grid), state.model, state.mu, state.true_nulls, draws)
+        limit = fdp_limit(np.asarray(t_grid), state.model, state.mu, config.scenario.p1, draws)
 
         for j, t in enumerate(t_grid):
             distance = float(ks_2samp(empirical[:, j], limit[j]).statistic)

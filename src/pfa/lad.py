@@ -20,6 +20,7 @@ from .factors import FactorModel
 
 __all__ = [
     "RankDeficientError",
+    "TooManyFactorsError",
     "ZeroEigenvalueError",
     "FactorFit",
     "select_calibration_set",
@@ -48,6 +49,10 @@ _GRAM_FULL_RANK = 1e-8
 
 class RankDeficientError(ValueError):
     """Design matrix does not have full column rank."""
+
+
+class TooManyFactorsError(ValueError):
+    """More factors than calibration rows: the fit would be underdetermined."""
 
 
 class ZeroEigenvalueError(ValueError):
@@ -110,7 +115,7 @@ def lad_regress(loadings_sub: np.ndarray, z_sub: np.ndarray) -> FactorFit:
     if k < 1:
         raise ValueError("at least one factor is required")
     if m < k:
-        raise ValueError(f"need at least as many rows as factors: m={m}, k={k}")
+        raise TooManyFactorsError(f"k={k} factors exceed the m={m} calibration rows")
     gram = design.T @ design
     spectrum = np.linalg.eigvalsh(gram)
     if spectrum[0] <= _GRAM_FULL_RANK * spectrum[-1] and np.linalg.matrix_rank(design) < k:

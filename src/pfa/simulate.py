@@ -202,14 +202,14 @@ def sample_correlation(design: np.ndarray) -> tuple[CorrelationMatrix, np.ndarra
     return CorrelationMatrix.from_gram((standardized.T @ standardized) / (standardized.shape[0] - 1)), sds
 
 
-def realized_counts(z: np.ndarray, true_nulls: np.ndarray, t: float) -> tuple:
+def realized_counts(z: np.ndarray, p1: int, t: float) -> tuple:
     """(V, S, R): false, true, and total discoveries at threshold t.
 
-    Counts along the last axis of z, so one statistic vector gives three
-    integers and a (reps, p) batch gives three length-reps arrays. A
-    discovery is two_sided_pvalue(z) <= t. For t in (0, 1) that test runs
-    only inside a narrow band around c = -Phi^-1(t/2); elsewhere |z| >= c
-    decides, with the same outcome.
+    Counts along the last axis of z, the false nulls its first p1 entries:
+    one statistic vector gives three integers, a (reps, p) batch three
+    length-reps arrays. A discovery is two_sided_pvalue(z) <= t. For t in
+    (0, 1) that test runs only inside a narrow band around c = -Phi^-1(t/2);
+    elsewhere |z| >= c decides, with the same outcome.
     """
     z = np.asarray(z, dtype=float)
     if 0.0 < t < 1.0:
@@ -222,5 +222,5 @@ def realized_counts(z: np.ndarray, true_nulls: np.ndarray, t: float) -> tuple:
     else:  # no finite critical value: the exact test decides every entry
         rejected = two_sided_pvalue(z) <= t
     total = np.count_nonzero(rejected, axis=-1)
-    false_discoveries = np.count_nonzero(rejected[..., np.asarray(true_nulls, dtype=np.intp)], axis=-1)
-    return false_discoveries, total - false_discoveries, total
+    true_discoveries = np.count_nonzero(rejected[..., :p1], axis=-1)
+    return total - true_discoveries, true_discoveries, total

@@ -328,13 +328,12 @@ def test_criterion_7_exchangeable_limit_closed_form():
     )
     mu = np.zeros(p)
     mu[:p1] = rng.uniform(1.0, 5.0, size=p1)
-    nulls = np.arange(p1, p)
     d = 1.0 / np.sqrt(1.0 - rho)
     worst = 0.0
     for _ in range(50):
         t = float(rng.uniform(0.0005, 0.1))
         w = float(rng.standard_normal())
-        (value,) = fdp_limit(t, model, mu, nulls, np.array([[w]]))
+        (value,) = fdp_limit(t, model, mu, p1, np.array([[w]]))
         z = norm_quantile(t / 2.0)
         numerator = (p - p1) * (
             norm_cdf(d * (z + np.sqrt(rho) * w)) + norm_cdf(d * (z - np.sqrt(rho) * w))

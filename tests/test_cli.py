@@ -5,11 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
-from pfa import cli
+from pfa import cli, harness
 from pfa.cli import main
 from pfa.factors import build_factor_model, select_num_factors, standard_factor_draws
 from pfa.fdr import UnreachableAlphaError, approx_fdr
 from pfa.harness import run_estimate
+from pfa.lad import FactorFit
 from pfa.linalg import equal_correlation, spectral_decompose
 from pfa.simulate import Scenario, generate_design, sample_correlation
 from test_harness import first_draw, sigma_hat, small_config
@@ -137,6 +138,47 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert "threshold must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_more_factors_than_calibration_rows_names_the_file_and_flags(self, tmp_path, capsys):
+        # At the default epsilon an exchangeable sigma gets k = 282 factors, beyond the 225 rows of fraction 0.75.
+        sigma_path, z_path = tmp_path / "sigma.csv", tmp_path / "z.csv"
+        write_matrix(sigma_path, equal_correlation(300, 0.3).entries)
+        write_vector(z_path, np.random.default_rng(0).standard_normal(300))
+        assert main(["estimate", "--sigma", str(sigma_path), "--z", str(z_path), "--t", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {sigma_path}: k=282 factors exceed the m=225 calibration rows" in err
+        assert "--epsilon" in err and "--fraction" in err
+
+    def test_the_matrix_and_its_decomposition_are_released_before_the_fit(self, tmp_path, monkeypatch, capsys):
+        matrices, alive_at_fit = [], []
+        z_path = tmp_path / "z.csv"
+        write_vector(z_path, np.random.default_rng(0).standard_normal(300))
+
+        def read_matrix(path):
+            sigma = equal_correlation(300, 0.3)
+            matrices.extend([weakref.ref(sigma), weakref.ref(sigma.entries)])
+            return sigma
+
+        def decompose(sigma, epsilon):
+            # k = 282 lies beyond the window, so the system holds all 300 x 300 eigenvectors.
+            system = spectral_decompose(sigma, epsilon)
+            assert system.vectors.shape == (300, 300)
+            matrices.append(weakref.ref(system))
+            return system
+
+        def fit(loadings, z):
+            gc.collect()
+            alive_at_fit.extend(ref() is not None for ref in matrices)
+            return FactorFit(w_hat=np.zeros(loadings.shape[1]), objective=0.0, iterations=0, converged=True)
+
+        monkeypatch.setattr(cli, "read_matrix_csv", read_matrix)
+        monkeypatch.setattr(harness, "spectral_decompose", decompose)
+        monkeypatch.setattr(harness, "lad_regress", fit)
+        # A fraction of 1 gives the fit all 300 rows, enough for the 282 factors.
+        argv = ["estimate", "--sigma", "unused.csv", "--z", str(z_path), "--t", "0.05", "--fraction", "1"]
+        assert main(argv) == 0
+        assert alive_at_fit == [False, False, False]
+        assert json.loads(capsys.readouterr().out)["k"] == 282
 
 
 class TestControlCommand:

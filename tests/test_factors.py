@@ -57,10 +57,10 @@ def one_row(*w):
     return np.array([w], dtype=float)
 
 
-def count_at(t, model, w, nulls=None):
-    """The conditional false count at the single realization w, over nulls when given."""
-    over_all, over_nulls = numerator_over_draws(t, model, one_row(*w), nulls=nulls)
-    values = over_all if nulls is None else over_nulls
+def count_at(t, model, w, p1=None):
+    """The conditional false count at the single realization w, over the indices from p1 on when given."""
+    over_all, over_nulls = numerator_over_draws(t, model, one_row(*w), p1=p1)
+    values = over_all if p1 is None else over_nulls
     assert values.shape == (1,)
     return float(values[0])
 
@@ -207,8 +207,7 @@ class TestNumeratorAtOneRealization:
     def test_no_factors_gives_nulls_times_t(self):
         system = spectral_decompose(equal_correlation(100, 0.2))
         model = build_factor_model(system, 0)
-        nulls = np.arange(90)
-        assert count_at(0.01, model, (), nulls) == pytest.approx(0.9, rel=1e-9)
+        assert count_at(0.01, model, (), 10) == pytest.approx(0.9, rel=1e-9)
 
     def test_zero_shift_unit_scale(self):
         model = exchangeable_model(50, 0.5)
@@ -218,8 +217,7 @@ class TestNumeratorAtOneRealization:
             eigenvalues=np.ones(50),
             degenerate_rows=np.zeros(0, dtype=np.intp),
         )
-        nulls = np.arange(20)
-        assert count_at(0.05, flat, (2.0,), nulls) == pytest.approx(1.0, rel=1e-9)
+        assert count_at(0.05, flat, (2.0,), 30) == pytest.approx(1.0, rel=1e-9)
         del model
 
     def test_matches_exchangeable_closed_form(self):
@@ -243,7 +241,7 @@ class TestNumeratorAtOneRealization:
 class TestFdpLimit:
     def test_all_null_is_one(self):
         model = exchangeable_model(60, 0.5)
-        value = fdp_limit(0.01, model, np.zeros(60), np.arange(60), one_row(0.3))
+        value = fdp_limit(0.01, model, np.zeros(60), 0, one_row(0.3))
         assert value.shape == (1,)
         assert value[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -254,7 +252,7 @@ class TestFdpLimit:
         mu = np.zeros(p)
         mu[:p1] = 60.0  # saturates the shifted terms at 1
         t = 0.001
-        (value,) = fdp_limit(t, model, mu, np.arange(p1, p), one_row())
+        (value,) = fdp_limit(t, model, mu, p1, one_row())
         p0 = p - p1
         assert value == pytest.approx(p0 * t / (p0 * t + p1), rel=1e-9)
 
@@ -264,12 +262,11 @@ class TestFdpLimit:
         model = exchangeable_model(p, rho)
         mu = np.zeros(p)
         mu[:p1] = rng.uniform(1.0, 4.0, size=p1)
-        nulls = np.arange(p1, p)
         d = np.sqrt(2.0)
         for _ in range(50):
             t = float(rng.uniform(0.0005, 0.1))
             w = float(rng.standard_normal())
-            (got,) = fdp_limit(t, model, mu, nulls, one_row(w))
+            (got,) = fdp_limit(t, model, mu, p1, one_row(w))
             z = norm_quantile(t / 2.0)
             numerator = (p - p1) * (
                 norm_cdf(d * (z + np.sqrt(rho) * w)) + norm_cdf(d * (z - np.sqrt(rho) * w))
@@ -328,7 +325,7 @@ class TestNumeratorVariance:
     def test_no_factors_exactly_zero(self):
         system = spectral_decompose(equal_correlation(50, 0.0))
         model = build_factor_model(system, 0)
-        _, values = numerator_over_draws(0.01, model, standard_factor_draws(0, 1000, 3), nulls=np.arange(50))
+        _, values = numerator_over_draws(0.01, model, standard_factor_draws(0, 1000, 3), p1=0)
         assert np.all(values == values[0])
         # The harness reports exactly 0.0 for k = 0, not the rounding noise of np.var.
         scenario = Scenario(kind="equal_correlation", p=120, n=40, p1=6, rho=0.0)
@@ -340,10 +337,9 @@ class TestNumeratorVariance:
     def test_deterministic_in_seed(self):
         model_system = spectral_decompose(equal_correlation(80, 0.5))
         model = build_factor_model(model_system, 3)
-        nulls = np.arange(70)
 
         def variance(seed):
-            _, over_nulls = numerator_over_draws(0.01, model, standard_factor_draws(3, 4000, seed), nulls=nulls)
+            _, over_nulls = numerator_over_draws(0.01, model, standard_factor_draws(3, 4000, seed), p1=10)
             return np.var(over_nulls, ddof=1)
 
         a, b, c = variance(17), variance(17), variance(18)
@@ -391,42 +387,48 @@ class TestFdpLimitOverRows:
         assert draws.shape == (n, k)
         mu = np.zeros(p)
         mu[:p1] = rng.uniform(0.5, 4.0, size=p1)
-        nulls = np.arange(p1, p)
         for t in (0.001, 0.05):
-            stacked = fdp_limit(t, model, mu, nulls, draws)
-            rows = np.concatenate([fdp_limit(t, model, mu, nulls, draws[i : i + 1]) for i in range(n)])
+            stacked = fdp_limit(t, model, mu, p1, draws)
+            rows = np.concatenate([fdp_limit(t, model, mu, p1, draws[i : i + 1]) for i in range(n)])
             assert stacked.shape == (n,)
             np.testing.assert_array_equal(stacked, rows)
 
 
 class TestNullSum:
-    """The sum over `nulls` comes from the same terms as the all-index sum."""
+    """The sum over the indices from p1 on comes from the same terms as the all-index sum."""
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_matches_a_null_only_model_bit_for_bit(self, k):
         # Dyadic loadings and draws make eta = B W exact, as above, so the
-        # null-only model and the gathered columns see identical terms and
+        # null-only model and the null columns see identical terms and
         # the comparison tests the summation alone. 600 rows span three chunks.
         rng = np.random.default_rng(10 + k)
         p, p1, n = 300, 12, 600
         loadings = rng.integers(-3, 4, size=(p, k)) / 8.0
+        # A random null set of the rows, made the suffix from p1 on by permuting them.
+        nulls = np.sort(rng.choice(p, size=p - p1, replace=False))
+        loadings = loadings[np.concatenate([np.setdiff1d(np.arange(p), nulls), nulls])]
         a = 1.0 / np.sqrt(1.0 - np.sum(loadings**2, axis=1))
         no_rows = np.zeros(0, dtype=np.intp)
         model = FactorModel(loadings=loadings, a=a, eigenvalues=np.ones(p), degenerate_rows=no_rows)
-        nulls = np.sort(rng.choice(p, size=p - p1, replace=False))
         null_model = FactorModel(
-            loadings=loadings[nulls], a=a[nulls], eigenvalues=np.ones(p), degenerate_rows=no_rows
+            loadings=loadings[p1:], a=a[p1:], eigenvalues=np.ones(p), degenerate_rows=no_rows
         )
         draws = rng.integers(-8, 9, size=(n, k)) / 4.0
         mu = np.zeros(p)
-        mu[np.setdiff1d(np.arange(p), nulls)] = rng.uniform(0.5, 4.0, size=p1)
+        mu[:p1] = rng.uniform(0.5, 4.0, size=p1)
         for t in (0.001, 0.05):
             expected, none = numerator_over_draws(t, null_model, draws)
             assert none is None
             for shift in (None, mu):
-                over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
+                over_all, over_nulls = numerator_over_draws(t, model, draws, p1=p1, shift=shift)
                 np.testing.assert_array_equal(over_nulls, expected)
                 np.testing.assert_array_equal(over_all, numerator_over_draws(t, model, draws, shift=shift)[0])
+
+    @pytest.mark.parametrize("p1", [-1, 51])
+    def test_p1_outside_the_indices_is_an_error(self, p1):
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, 50\]"):
+            numerator_over_draws(0.01, exchangeable_model(50, 0.5), one_row(0.3), p1=p1)
 
 
 class TestOneEvaluationPerChunk:
@@ -439,7 +441,7 @@ class TestOneEvaluationPerChunk:
 
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         p = 50
-        fdp_limit(0.01, exchangeable_model(p, 0.5), np.zeros(p), np.arange(5, p), standard_factor_draws(1, 600, 0))
+        fdp_limit(0.01, exchangeable_model(p, 0.5), np.zeros(p), 5, standard_factor_draws(1, 600, 0))
         # Each slice of the 600 rows evaluates Phi(a(z + eta)) and Phi(a(z - eta)) once, after one
         # scalar call for the cut-off.
         assert len(calls) == 1 + 2 * cdf_slices(600)
@@ -464,14 +466,13 @@ class TestBufferedNumerator:
     """The chunked, buffer-reusing evaluation against the formula over all rows at once."""
 
     @staticmethod
-    def plain_numerator(t, model, draws, nulls, shift):
+    def plain_numerator(t, model, draws, p1, shift):
         z_half = norm_quantile(0.5 * t)
         eta = draws @ model.loadings.T
         if shift is not None:
             eta = eta + shift
         terms = norm_cdf(model.a * (z_half + eta)) + norm_cdf(model.a * (z_half - eta))
-        # terms[:, nulls] comes out column-major, which would sum in another order.
-        return np.sum(terms, axis=1), None if nulls is None else np.sum(np.ascontiguousarray(terms[:, nulls]), axis=1)
+        return np.sum(terms, axis=1), None if p1 is None else np.sum(terms[:, p1:], axis=1)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("with_nulls", [False, True])
@@ -490,11 +491,11 @@ class TestBufferedNumerator:
             degenerate_rows=np.zeros(0, dtype=np.intp),
         )
         draws = rng.integers(-8, 9, size=(n, k)) / 4.0
-        nulls = np.sort(rng.choice(p, size=p - 9, replace=False)) if with_nulls else None
+        p1 = 9 if with_nulls else None
         shift = rng.uniform(0.0, 3.0, size=p) if with_shift else None
         for t in (1e-6, 0.01, 0.3):
-            over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
-            want_all, want_nulls = self.plain_numerator(t, model, draws, nulls, shift)
+            over_all, over_nulls = numerator_over_draws(t, model, draws, p1=p1, shift=shift)
+            want_all, want_nulls = self.plain_numerator(t, model, draws, p1, shift)
             assert_within_pruning_bound(over_all, want_all, p)
             if with_nulls:
                 assert_within_pruning_bound(over_nulls, want_nulls, p)
@@ -503,30 +504,35 @@ class TestBufferedNumerator:
 
 
 def steep_model(p=400, k=5, seed=0, capped=0):
-    """Factor model with a_i log-uniform on [4, 40], the first `capped` rows at A_CAP.
+    """Factor model with a_i log-uniform on [4, 40], the row of the smallest first and the last `capped` rows at A_CAP.
 
     Uncapped rows satisfy a_i = (1 - ||b_i||^2)^(-1/2) exactly as a
     principal-factor model does, and with a_low > 3 most terms fall below
-    the cut-off of numerator_over_draws at moderate thresholds.
+    the cut-off of numerator_over_draws at moderate thresholds. The indices
+    from p1 on, for 0 < p1 < p - capped, hold the capped rows and leave out
+    the smallest a_i.
     """
     rng = np.random.default_rng(seed)
     a = np.exp(rng.uniform(np.log(4.0), np.log(40.0), size=p))
     directions = rng.standard_normal((p, k))
+    smallest = [int(np.argmin(a)), 0]
+    a[smallest[::-1]], directions[smallest[::-1]] = a[smallest], directions[smallest]
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     loadings = directions * np.sqrt(1.0 - 1.0 / a**2)[:, None]
-    a[:capped] = A_CAP
-    loadings[:capped] = directions[:capped]
-    return FactorModel(loadings=loadings, a=a, eigenvalues=np.ones(p), degenerate_rows=np.arange(capped))
+    tail = np.arange(p - capped, p)
+    a[tail] = A_CAP
+    loadings[tail] = directions[tail]
+    return FactorModel(loadings=loadings, a=a, eigenvalues=np.ones(p), degenerate_rows=tail)
 
 
-def dense_numerator(t, model, draws, nulls=None, shift=None):
-    """Every term of the false count, summed over all indices and over nulls."""
+def dense_numerator(t, model, draws, p1=None, shift=None):
+    """Every term of the false count, summed over all indices and over those from p1 on."""
     z_half = norm_quantile(0.5 * t)
     s = draws @ model.loadings.T
     if shift is not None:
         s = s + shift
     terms = norm_cdf(model.a * (z_half + s)) + norm_cdf(model.a * (z_half - s))
-    return np.sum(terms, axis=1), None if nulls is None else np.sum(terms[:, nulls], axis=1)
+    return np.sum(terms, axis=1), None if p1 is None else np.sum(terms[:, p1:], axis=1)
 
 
 class TestPrunedNumerator:
@@ -539,11 +545,11 @@ class TestPrunedNumerator:
         rng = np.random.default_rng(7)
         model = steep_model(p=300, capped=6)
         draws = standard_factor_draws(model.k, 300, 1)
-        # The nulls hold capped rows and leave out the row with the smallest a.
-        nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))]) if with_nulls else None
+        # The nulls from index 3 on hold the capped rows and leave out row 0, the smallest a.
+        p1 = 3 if with_nulls else None
         shift = rng.uniform(0.0, 3.0, size=model.p) if with_shift else None
-        over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=shift)
-        want_all, want_nulls = dense_numerator(t, model, draws, nulls, shift)
+        over_all, over_nulls = numerator_over_draws(t, model, draws, p1=p1, shift=shift)
+        want_all, want_nulls = dense_numerator(t, model, draws, p1, shift)
         assert_within_pruning_bound(over_all, want_all, model.p)
         if with_nulls:
             assert_within_pruning_bound(over_nulls, want_nulls, model.p)
@@ -554,18 +560,19 @@ class TestPrunedNumerator:
     def test_edge_cases_agree_with_the_dense_formula(self, t):
         model = steep_model(p=200, capped=4)
         draws = standard_factor_draws(model.k, 50, 2)
-        empty = np.zeros(0, dtype=np.intp)
-        over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=empty)
+        # No nulls (p1 = p), then every index null (p1 = 0).
+        over_all, over_nulls = numerator_over_draws(t, model, draws, p1=model.p)
         assert_within_pruning_bound(over_all, dense_numerator(t, model, draws)[0], model.p)
         assert np.all(over_nulls == 0.0)
+        over_all, over_nulls = numerator_over_draws(t, model, draws, p1=0)
+        np.testing.assert_array_equal(over_nulls, over_all)
         (one,), _ = numerator_over_draws(t, model, draws[:1])
         assert_within_pruning_bound(one, dense_numerator(t, model, draws[:1])[0][0], model.p)
         # Nulls all capped: Phi(a_low z) underflows, so no term may be skipped.
-        capped = np.arange(4)
-        _, over_capped = numerator_over_draws(t, model, draws, nulls=capped)
-        assert_within_pruning_bound(over_capped, dense_numerator(t, model, draws, capped)[1], model.p)
+        _, over_capped = numerator_over_draws(t, model, draws, p1=model.p - 4)
+        assert_within_pruning_bound(over_capped, dense_numerator(t, model, draws, model.p - 4)[1], model.p)
         no_factors = FactorModel(
-            loadings=np.zeros((200, 0)), a=model.a, eigenvalues=np.ones(200), degenerate_rows=capped
+            loadings=np.zeros((200, 0)), a=model.a, eigenvalues=np.ones(200), degenerate_rows=model.degenerate_rows
         )
         got, _ = numerator_over_draws(t, no_factors, np.zeros((3, 0)))
         assert_within_pruning_bound(got, dense_numerator(t, no_factors, np.zeros((3, 0)))[0], model.p)
@@ -590,10 +597,10 @@ class TestPrunedNumerator:
         assert all(low < high for low, high in zip(fdr, fdr[1:]))
 
     @staticmethod
-    def cut_dense_numerator(t, model, draws, nulls, shift):
+    def cut_dense_numerator(t, model, draws, p1, shift):
         """Every term cut at the numerator's c, where(a (z +- s) > c, Phi, 0), s from _DRAW_CHUNK-row products."""
         z_half = norm_quantile(0.5 * t)
-        a_low = np.min(model.a[nulls] if nulls is not None and len(nulls) else model.a)
+        a_low = np.min(model.a if p1 in (None, model.p) else model.a[p1:])
         negligible = np.ldexp(norm_cdf(a_low * z_half), -54) / (2 * model.p)
         cut = norm_quantile(negligible) if negligible > 0.0 else -np.inf
         s = np.concatenate([draws[i : i + _DRAW_CHUNK] @ model.loadings.T for i in range(0, len(draws), _DRAW_CHUNK)])
@@ -601,8 +608,8 @@ class TestPrunedNumerator:
             s = s + shift
         plus, minus = model.a * (s + z_half), model.a * (z_half - s)
         terms = np.where(plus > cut, norm_cdf(plus), 0.0) + np.where(minus > cut, norm_cdf(minus), 0.0)
-        # terms[:, nulls] comes out column-major, which would sum in another order.
-        return np.sum(terms, axis=1), None if nulls is None else np.sum(np.ascontiguousarray(terms[:, nulls]), axis=1)
+        # Summed as a contiguous copy: the numerator's strided slice of the columns must round the same.
+        return np.sum(terms, axis=1), None if p1 is None else np.sum(np.ascontiguousarray(terms[:, p1:]), axis=1)
 
     @pytest.mark.parametrize("n", [1, 64, 257, 600])
     @pytest.mark.parametrize("t", [0.5, 0.01, 1e-6])
@@ -618,13 +625,12 @@ class TestPrunedNumerator:
         )
         for model in models:
             draws = standard_factor_draws(model.k, n, 8)
-            nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))])
             shift = rng.uniform(0.0, 3.0, size=model.p)
-            for case_nulls, case_shift in ((None, None), (nulls, None), (None, shift), (nulls, shift)):
-                over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=case_nulls, shift=case_shift)
-                want_all, want_nulls = self.cut_dense_numerator(t, model, draws, case_nulls, case_shift)
+            for p1, case_shift in ((None, None), (3, None), (None, shift), (3, shift)):
+                over_all, over_nulls = numerator_over_draws(t, model, draws, p1=p1, shift=case_shift)
+                want_all, want_nulls = self.cut_dense_numerator(t, model, draws, p1, case_shift)
                 assert over_all.tobytes() == want_all.tobytes()
-                assert over_nulls is None if case_nulls is None else over_nulls.tobytes() == want_nulls.tobytes()
+                assert over_nulls is None if p1 is None else over_nulls.tobytes() == want_nulls.tobytes()
 
     @pytest.mark.parametrize("with_nulls", [False, True])
     def test_cdf_sees_only_the_arguments_above_the_cut_off(self, monkeypatch, with_nulls):
@@ -638,12 +644,12 @@ class TestPrunedNumerator:
         model = steep_model()
         n, t = 250, 0.005  # one chunk of draws
         draws = standard_factor_draws(model.k, n, 5)
-        # Without the row of the smallest a, the nulls give a lower cut-off.
-        nulls = np.setdiff1d(np.arange(model.p), [np.argmin(model.a)]) if with_nulls else None
-        numerator_over_draws(t, model, draws, nulls=nulls)
+        # Without row 0, the smallest a, the nulls give a lower cut-off.
+        p1 = 1 if with_nulls else None
+        numerator_over_draws(t, model, draws, p1=p1)
         assert sum(seen) < 0.2 * 2 * n * model.p
         z_half = norm_quantile(0.5 * t)
-        a_low = np.min(model.a if nulls is None else model.a[nulls])
+        a_low = np.min(model.a if p1 is None else model.a[p1:])
         cut = norm_quantile(2.0**-54 * norm_cdf(a_low * z_half) / (2 * model.p))
         size = np.abs(draws @ model.loadings.T)
         above = np.count_nonzero((size + z_half) * model.a > cut) + np.count_nonzero((z_half - size) * model.a > cut)
@@ -654,22 +660,22 @@ class TestPrunedNumerator:
 SOLVER_GRID = (_T_LOW, *_CURVE_GRID)
 
 
-def one_call_per_threshold(thresholds, model, draws, nulls=None, shift=None):
+def one_call_per_threshold(thresholds, model, draws, p1=None, shift=None):
     """The sums of numerator_over_draws at each threshold alone, stacked one row per threshold."""
-    calls = [numerator_over_draws(t, model, draws, nulls=nulls, shift=shift) for t in thresholds]
-    return np.stack([c[0] for c in calls]), None if nulls is None else np.stack([c[1] for c in calls])
+    calls = [numerator_over_draws(t, model, draws, p1=p1, shift=shift) for t in thresholds]
+    return np.stack([c[0] for c in calls]), None if p1 is None else np.stack([c[1] for c in calls])
 
 
 class TestThresholdSweep:
     """Several thresholds in one call give the sums of one call per threshold, bit for bit."""
 
     @staticmethod
-    def assert_sweep_matches(thresholds, model, draws, nulls=None, shift=None):
-        over_all, over_nulls = numerator_over_draws(np.asarray(thresholds), model, draws, nulls=nulls, shift=shift)
-        want_all, want_nulls = one_call_per_threshold(thresholds, model, draws, nulls, shift)
+    def assert_sweep_matches(thresholds, model, draws, p1=None, shift=None):
+        over_all, over_nulls = numerator_over_draws(np.asarray(thresholds), model, draws, p1=p1, shift=shift)
+        want_all, want_nulls = one_call_per_threshold(thresholds, model, draws, p1, shift)
         assert over_all.shape == (len(thresholds), draws.shape[0])
         np.testing.assert_array_equal(over_all, want_all)
-        if nulls is None:
+        if p1 is None:
             assert over_nulls is None
         else:
             np.testing.assert_array_equal(over_nulls, want_nulls)
@@ -680,10 +686,10 @@ class TestThresholdSweep:
         rng = np.random.default_rng(11)
         model = steep_model(p=300, capped=6)
         draws = standard_factor_draws(model.k, 300, 1)
-        # The nulls hold rows capped at A_CAP and leave out the row with the smallest a.
-        nulls = np.setdiff1d(np.arange(model.p), [0, 1, int(np.argmin(model.a))]) if with_nulls else None
+        # The nulls from index 3 on hold the rows capped at A_CAP and leave out row 0, the smallest a.
+        p1 = 3 if with_nulls else None
         shift = rng.uniform(0.0, 3.0, size=model.p) if with_shift else None
-        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls, shift)
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, p1, shift)
 
     def test_unsorted_thresholds_and_neighbouring_floats(self):
         model = steep_model(p=200, capped=3)
@@ -691,19 +697,19 @@ class TestThresholdSweep:
         t = 0.005
         thresholds = [0.01, np.nextafter(t, 1.0), 1e-8, t, 0.3, np.nextafter(t, 0.0), 1e-8]
         self.assert_sweep_matches(thresholds, model, draws)
-        self.assert_sweep_matches(thresholds, model, draws, nulls=np.arange(3, 200), shift=np.linspace(0.0, 2.0, 200))
+        self.assert_sweep_matches(thresholds, model, draws, p1=3, shift=np.linspace(0.0, 2.0, 200))
 
     def test_principal_factor_model_keeps_most_terms(self):
         # a_i near 1.4 puts almost every argument above the cut-off.
         model = build_factor_model(spectral_decompose(equal_correlation(150, 0.5)), 1)
         draws = standard_factor_draws(1, 300, 3)
-        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls=np.arange(10, 150))
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, p1=10)
 
     @pytest.mark.parametrize("n", [1, 257])
     def test_one_row_and_a_chunk_boundary(self, n):
         model = steep_model(p=150, capped=2)
         draws = standard_factor_draws(model.k, n, 4)
-        self.assert_sweep_matches(SOLVER_GRID, model, draws, nulls=np.arange(2, 150), shift=np.full(150, 0.5))
+        self.assert_sweep_matches(SOLVER_GRID, model, draws, p1=2, shift=np.full(150, 0.5))
         # A one-element array is one threshold, with its sums in one row.
         (row,), _ = numerator_over_draws(np.array([0.01]), model, draws)
         np.testing.assert_array_equal(row, numerator_over_draws(0.01, model, draws)[0])
@@ -713,7 +719,7 @@ class TestThresholdSweep:
         model = FactorModel(
             loadings=np.zeros((p, 0)), a=np.ones(p), eigenvalues=np.ones(p), degenerate_rows=np.arange(0)
         )
-        self.assert_sweep_matches(SOLVER_GRID, model, np.zeros((5, 0)), nulls=np.arange(4, p))
+        self.assert_sweep_matches(SOLVER_GRID, model, np.zeros((5, 0)), p1=4)
 
     def test_fdp_limit_over_thresholds(self):
         model = steep_model(p=200, capped=2)
@@ -721,9 +727,9 @@ class TestThresholdSweep:
         mu = np.zeros(model.p)
         mu[:8] = 3.0
         thresholds = (0.05, 0.001, 0.02)
-        limits = fdp_limit(np.asarray(thresholds), model, mu, np.arange(8, model.p), draws)
+        limits = fdp_limit(np.asarray(thresholds), model, mu, 8, draws)
         for t, row in zip(thresholds, limits):
-            np.testing.assert_array_equal(row, fdp_limit(t, model, mu, np.arange(8, model.p), draws))
+            np.testing.assert_array_equal(row, fdp_limit(t, model, mu, 8, draws))
 
     @pytest.mark.parametrize("with_nulls", [False, True])
     def test_cdf_sees_the_arguments_of_separate_calls(self, monkeypatch, with_nulls):
@@ -736,11 +742,11 @@ class TestThresholdSweep:
         monkeypatch.setattr("pfa.factors.norm_cdf", counting_cdf)
         model = steep_model()
         draws = standard_factor_draws(model.k, 600, 5)
-        nulls = np.setdiff1d(np.arange(model.p), [np.argmin(model.a)]) if with_nulls else None
-        numerator_over_draws(np.asarray(SOLVER_GRID), model, draws, nulls=nulls)
+        p1 = 1 if with_nulls else None  # the nulls leave out row 0, the smallest a
+        numerator_over_draws(np.asarray(SOLVER_GRID), model, draws, p1=p1)
         swept = list(seen)
         seen.clear()
-        one_call_per_threshold(SOLVER_GRID, model, draws, nulls)
+        one_call_per_threshold(SOLVER_GRID, model, draws, p1)
         # Per threshold one scalar call for its cut-off, then per slice one call for each side.
         assert len(swept) == len(seen) == len(SOLVER_GRID) * (1 + 2 * cdf_slices(600))
         assert sum(swept) == sum(seen)
@@ -756,18 +762,14 @@ class TestCdfSlices:
         draws = standard_factor_draws(model.k, n, n)
         shift = np.zeros(model.p)
         shift[:10] = 2.5
-        cases = [
-            (t, nulls, mu)
-            for t in (0.005, np.asarray((0.05, 0.001, 0.02)))
-            for nulls in (None, np.arange(10, model.p))
-            for mu in (None, shift)
-        ]
-        want = [numerator_over_draws(t, model, draws, nulls=nulls, shift=mu) for t, nulls, mu in cases]
+        thresholds = (0.005, np.asarray((0.05, 0.001, 0.02)))
+        cases = [(t, p1, mu) for t in thresholds for p1 in (None, 10) for mu in (None, shift)]
+        want = [numerator_over_draws(t, model, draws, p1=p1, shift=mu) for t, p1, mu in cases]
         monkeypatch.setattr("pfa.factors._CDF_SLICE", rows)
-        for (t, nulls, mu), (want_all, want_nulls) in zip(cases, want):
-            over_all, over_nulls = numerator_over_draws(t, model, draws, nulls=nulls, shift=mu)
+        for (t, p1, mu), (want_all, want_nulls) in zip(cases, want):
+            over_all, over_nulls = numerator_over_draws(t, model, draws, p1=p1, shift=mu)
             assert np.array_equal(over_all, want_all)
-            assert (over_nulls is None) if nulls is None else np.array_equal(over_nulls, want_nulls)
+            assert (over_nulls is None) if p1 is None else np.array_equal(over_nulls, want_nulls)
 
     def test_solve_threshold_memory_is_bounded_by_slices(self):
         # Every term of an exchangeable model lies above the cut-off, so each slice keeps all of them.
@@ -790,11 +792,10 @@ class TestCdfSlices:
         p = 2000
         model = exchangeable_model(p, 0.5)
         draws = standard_factor_draws(model.k, 2 * _DRAW_CHUNK, 1)
-        nulls = np.arange(10, p)
-        numerator_over_draws(0.01, model, draws, nulls=nulls)
+        numerator_over_draws(0.01, model, draws, p1=10)
         tracemalloc.start()
         try:
-            numerator_over_draws(0.01, model, draws, nulls=nulls)
+            numerator_over_draws(0.01, model, draws, p1=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -174,24 +174,23 @@ class TestSampleCorrelation:
 class TestRealizedCounts:
     def test_threshold_one_rejects_all(self):
         z = np.array([0.0, 1.0, -2.0, 8.0])
-        v, s, r = realized_counts(z, np.arange(4), 1.0)
+        v, s, r = realized_counts(z, 0, 1.0)
         assert (v, s, r) == (4, 0, 4)
 
     def test_threshold_zero_boundary(self):
-        z = np.array([0.5, 50.0])  # p-value of 50 underflows to exactly 0
-        v, s, r = realized_counts(z, np.array([0]), 0.0)
+        z = np.array([50.0, 0.5])  # p-value of 50 underflows to exactly 0
+        v, s, r = realized_counts(z, 1, 0.0)
         assert r == 1 and s == 1 and v == 0
 
     def test_identity_v_plus_s(self):
         rng = np.random.default_rng(15)
         z = rng.standard_normal(300) * 2.0
-        nulls = np.arange(200)
         for t in (0.001, 0.05, 0.5):
-            v, s, r = realized_counts(z, nulls, t)
+            v, s, r = realized_counts(z, 100, t)
             assert v + s == r
             pvals = two_sided_pvalue(z)
             assert r == int(np.sum(pvals <= t))
-            assert v == int(np.sum(pvals[:200] <= t))
+            assert v == int(np.sum(pvals[100:] <= t))
 
     @pytest.mark.parametrize("t", [1e-10, 1e-4, 0.005, 0.05, 0.5, 0.999])
     def test_matches_the_exact_p_value_test_at_the_critical_value(self, t):
@@ -206,24 +205,26 @@ class TestRealizedCounts:
         # +-c and the four floats either side of each.
         rng = np.random.default_rng(int(-np.log10(t) * 10))
         z = np.concatenate([edges, rng.standard_normal(500) * 3.0, critical * (1.0 + rng.uniform(-1e-7, 1e-7, 50))])
+        # A random null set, made the suffix from p1 on by permuting the columns.
+        nulls = rng.uniform(size=z.size) < 0.7
+        p1 = int(np.count_nonzero(~nulls))
+        z = np.concatenate([z[~nulls], z[nulls]])
         exact = two_sided_pvalue(z) <= t
-        nulls = np.flatnonzero(rng.uniform(size=z.size) < 0.7)
-        v, s, r = realized_counts(z, nulls, t)
+        v, s, r = realized_counts(z, p1, t)
         assert r == np.count_nonzero(exact)
-        assert v == np.count_nonzero(exact[nulls])
+        assert v == np.count_nonzero(exact[p1:])
         assert s == r - v
-        batch = np.stack([z, -z, z[::-1]])
-        v, s, r = realized_counts(batch, nulls, t)
+        batch = np.stack([z, -z, z[rng.permutation(z.size)]])
+        v, s, r = realized_counts(batch, p1, t)
         np.testing.assert_array_equal(r, np.count_nonzero(two_sided_pvalue(batch) <= t, axis=1))
-        np.testing.assert_array_equal(v, np.count_nonzero((two_sided_pvalue(batch) <= t)[:, nulls], axis=1))
+        np.testing.assert_array_equal(v, np.count_nonzero((two_sided_pvalue(batch) <= t)[:, p1:], axis=1))
 
     def test_batch_counts_match_per_row_counts(self):
         rng = np.random.default_rng(17)
         batch = rng.standard_normal((6, 40)) * 2.0
-        nulls = np.arange(5, 40)
-        v, s, r = realized_counts(batch, nulls, 0.05)
+        v, s, r = realized_counts(batch, 5, 0.05)
         assert v.shape == s.shape == r.shape == (6,)
-        per_row = np.array([realized_counts(z, nulls, 0.05) for z in batch])
+        per_row = np.array([realized_counts(z, 5, 0.05) for z in batch])
         np.testing.assert_array_equal(np.stack([v, s, r], axis=1), per_row)
 
     def test_mean_false_count_matches_null_level(self):
