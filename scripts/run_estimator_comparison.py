@@ -10,20 +10,22 @@ the factor-adjusted and dispersion-variate estimators.
 import argparse
 from pathlib import Path
 
+from pfa.factors import DEFAULT_N_MC
 from pfa.harness import ExperimentConfig, run_experiment, write_output
+from pfa.lad import DEFAULT_FRACTION
 from pfa.simulate import SCENARIO_KINDS, Scenario
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--mc", type=int, default=10000)
+    parser.add_argument("--mc", type=int, default=DEFAULT_N_MC)
     parser.add_argument("--t", type=float, default=0.005)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--p", type=int, default=1000)
     parser.add_argument("--n", type=int, default=100)
     parser.add_argument("--p1", type=int, default=50)
-    parser.add_argument("--fraction", type=float, default=0.75)
+    parser.add_argument("--fraction", type=float, default=DEFAULT_FRACTION)
     # tiny tolerance keeps every positive factor of the singular sample
     # correlation; the exact-decomposition regime is where the estimator
     # comparison is sharpest when n < p
@@ -33,7 +35,7 @@ def main() -> None:
 
     for kind in SCENARIO_KINDS:
         config = ExperimentConfig(
-            scenario=Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1, beta=1.0, sigma=2.0),
+            scenario=Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1),
             t_grid=(args.t,),
             n_reps=args.reps,
             seed=args.seed,

@@ -11,6 +11,7 @@ scenario.
 import argparse
 from pathlib import Path
 
+from pfa.factors import DEFAULT_N_MC
 from pfa.harness import ExperimentConfig, run_experiment, write_output
 from pfa.simulate import SCENARIO_KINDS, Scenario
 
@@ -18,7 +19,7 @@ from pfa.simulate import SCENARIO_KINDS, Scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=10000)
-    parser.add_argument("--mc", type=int, default=10000)
+    parser.add_argument("--mc", type=int, default=DEFAULT_N_MC)
     parser.add_argument("--t", type=float, default=0.001)
     parser.add_argument("--alpha", type=float, default=0.0667)
     parser.add_argument("--seed", type=int, default=1)
@@ -30,7 +31,7 @@ def main() -> None:
 
     for kind in SCENARIO_KINDS:
         config = ExperimentConfig(
-            scenario=Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1, beta=1.0, sigma=2.0),
+            scenario=Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1),
             t_grid=(args.t,),
             n_reps=args.reps,
             seed=args.seed,

@@ -10,6 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
+from pfa.factors import DEFAULT_N_MC
 from pfa.harness import variance_study
 from pfa.simulate import SCENARIO_KINDS, Scenario
 
@@ -17,7 +18,7 @@ from pfa.simulate import SCENARIO_KINDS, Scenario
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=10000)
-    parser.add_argument("--mc", type=int, default=10000)
+    parser.add_argument("--mc", type=int, default=DEFAULT_N_MC)
     parser.add_argument("--t", type=float, default=0.001)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--p", type=int, default=2000)
@@ -29,7 +30,7 @@ def main() -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind in SCENARIO_KINDS:
-        scenario = Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1, beta=1.0, sigma=2.0)
+        scenario = Scenario(kind=kind, p=args.p, n=args.n, p1=args.p1)
         result = variance_study(
             scenario, t=args.t, n_reps=args.reps, n_mc=args.mc, seed=args.seed
         )

@@ -28,10 +28,8 @@ def calibration_fits(args):
     scenario = Scenario(kind="two_factor", p=args.p, n=args.n, p1=args.p1)
     fits = []
     for seed in args.seeds:
-        config = ExperimentConfig(
-            scenario=scenario, t_grid=(0.005,), n_reps=args.reps, seed=seed,
-            epsilon=0.01, calibration_fraction=0.75,
-        )
+        # epsilon and the calibration fraction are ExperimentConfig's defaults, as in the estimator study
+        config = ExperimentConfig(scenario=scenario, t_grid=(0.005,), n_reps=args.reps, seed=seed)
         state = prepare_scenario(config)
         for _, statistics in _draw_statistics(config, state):
             for z in statistics:

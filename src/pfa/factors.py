@@ -8,10 +8,10 @@ concentrates on
 
     sum_i [ Phi(a_i (z_{t/2} + eta_i)) + Phi(a_i (z_{t/2} - eta_i)) ]
 
-`numerator_over_draws` evaluates the terms once for every row of a matrix
-of factor realizations (a fitted realization is a one-row matrix) and sums
-them over all indices and over the true nulls, all but the first p1. The estimate,
-the limiting FDP, the approximate FDR and the count's variance are sums or ratios of these.
+`numerator_over_draws` evaluates the terms once for every row of a matrix of factor realizations
+(a fitted realization is a one-row matrix) and sums them over all indices and over the true nulls,
+all but the first p1. The estimate, the limiting FDP, the approximate FDR and the count's variance
+are sums or ratios of these, each at one threshold t or at a 1-D array of them swept at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import norm_cdf, norm_quantile, two_sided_pvalue
+from .gauss import check_unit_interval, norm_cdf, norm_quantile, two_sided_pvalue
 from .linalg import EigenSystem
 
 __all__ = [
@@ -70,11 +70,11 @@ class FactorModel:
 
 @dataclass(frozen=True)
 class FdpReport:
-    """Estimated false-discovery summary at one threshold."""
+    """Estimated false-discovery summary at one threshold, or arrays of them at each of a grid."""
 
-    n_rejected: int
-    est_false_count: float
-    fdp: float
+    n_rejected: int | np.ndarray
+    est_false_count: float | np.ndarray
+    fdp: float | np.ndarray
 
 
 DEFAULT_EPSILON = 0.01
@@ -88,8 +88,7 @@ def select_num_factors(system: EigenSystem, epsilon: float) -> int:
     whose tail energy equals the threshold in exact arithmetic. A partial
     system must hold that k, as `spectral_decompose(sigma, epsilon)` does.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_unit_interval(epsilon, "epsilon")
     if system.trace <= 0.0:
         return 0
     satisfied = system.within(epsilon)
@@ -227,23 +226,20 @@ def fdp_limit(
     return np.minimum(ratios, 1.0)
 
 
-def estimate_fdp(t: float, z: np.ndarray, model: FactorModel, w_hat: np.ndarray) -> FdpReport:
+def estimate_fdp(t: float | np.ndarray, z: np.ndarray, model: FactorModel, w_hat: np.ndarray) -> FdpReport:
     """FDP estimate at threshold t from observed statistics and fitted factors.
 
     The estimated false count is the all-index numerator evaluated at the
-    fitted realization, capped at the observed rejection count R(t); the
-    estimate is 0 when R(t) = 0.
+    fitted realization, capped at the observed rejection count R(t), so the
+    estimate is 0 when R(t) = 0. For a 1-D array t the report's fields are
+    arrays, one entry per threshold, from one sweep of the numerator.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {t}")
-    z = np.asarray(z, dtype=float)
-    pvalues = two_sided_pvalue(z)
-    n_rejected = int(np.count_nonzero(pvalues <= t))
-    if n_rejected == 0:
-        return FdpReport(n_rejected=0, est_false_count=0.0, fdp=0.0)
-    numerator = float(numerator_over_draws(t, model, np.asarray(w_hat, dtype=float)[None, :])[0][0])
-    est_false = min(numerator, float(n_rejected))
-    return FdpReport(n_rejected=n_rejected, est_false_count=est_false, fdp=est_false / n_rejected)
+    thresholds = check_unit_interval(t, "threshold")
+    n_rejected = np.count_nonzero(two_sided_pvalue(np.asarray(z, dtype=float)) <= thresholds[..., None], axis=-1)
+    numerator = numerator_over_draws(thresholds, model, np.asarray(w_hat, dtype=float)[None, :])[0][..., 0]
+    est_false = np.minimum(numerator, n_rejected)
+    report = FdpReport(n_rejected=n_rejected, est_false_count=est_false, fdp=est_false / np.maximum(n_rejected, 1))
+    return report if thresholds.ndim else FdpReport(int(n_rejected), float(est_false), float(report.fdp))
 
 
 DEFAULT_N_MC = 10000

@@ -9,10 +9,10 @@ for a target rate well posed.
 
 Baselines: Benjamini-Hochberg step-up, Storey's fixed-threshold estimate
 and his adaptive step-up, and a dispersion-variate estimate in the style of
-Efron (2007). The exact
-recipe Efron uses to estimate the dispersion variate is not reproduced
-here; see `efron_estimate` for the moment-matching stand-in this module
-uses instead.
+Efron (2007), whose recipe for the dispersion variate is not reproduced
+here (see `efron_estimate` for the moment-matching stand-in used instead).
+Both estimates take one threshold or a 1-D array of them, as
+`factors.estimate_fdp` does, and are capped at 1.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factors import FactorModel, numerator_over_draws
-from .gauss import norm_pdf, norm_quantile, two_sided_pvalue
+from .gauss import check_unit_interval, norm_pdf, norm_quantile, two_sided_pvalue
 
 __all__ = [
     "UnreachableAlphaError",
@@ -105,9 +105,7 @@ def approx_fdr_curve(thresholds: tuple[float, ...], model: FactorModel, p1: int,
     matrix across thresholds makes the curve monotone in t. For k = 0 it
     collapses to p*t / (p*t + p1) exactly and the draws are not used.
     """
-    for t in thresholds:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {t}")
+    check_unit_interval(thresholds, "threshold")
     if not 0 <= p1 <= model.p:
         raise ValueError(f"p1 must lie in [0, {model.p}], got {p1}")
     if model.k == 0:
@@ -140,8 +138,7 @@ def solve_threshold(
     against log t), one `approx_fdr` call each, run inside the bracket of known points that holds
     alpha until |FDR - alpha| <= tol, and the point nearest alpha is returned.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_unit_interval(alpha, "alpha")
     if draws.shape[0] < 1:
         raise ValueError("need at least one factor draw")
     if not tol > 0.0:
@@ -226,8 +223,7 @@ def bh_procedure(pvalues: np.ndarray, alpha: float) -> RejectionSet:
 
 def _null_count(pvalues: np.ndarray, lambda_param: float) -> float:
     """Storey's p0_hat = #{P_i > lambda} / (1 - lambda), capped at p."""
-    if not 0.0 < lambda_param < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lambda_param}")
+    check_unit_interval(lambda_param, "lambda")
     return min(np.count_nonzero(pvalues > lambda_param) / (1.0 - lambda_param), float(pvalues.shape[0]))
 
 
@@ -241,15 +237,17 @@ def storey_procedure(pvalues: np.ndarray, alpha: float, lambda_param: float = 0.
     return _step_up(pvalues, alpha, _null_count(pvalues, lambda_param))
 
 
-def storey_estimate(pvalues: np.ndarray, t: float, lambda_param: float = 0.5) -> float:
-    """Storey's fixed-threshold FDR estimate p0_hat * t / (R(t) v 1)."""
+def storey_estimate(pvalues: np.ndarray, t: float | np.ndarray, lambda_param: float = 0.5) -> float | np.ndarray:
+    """Storey's fixed-threshold FDR estimate p0_hat * t / (R(t) v 1), capped at 1; one per entry of a 1-D t."""
     pvalues = np.asarray(pvalues, dtype=float)
-    n_rejected = int(np.count_nonzero(pvalues <= t))
-    return float(_null_count(pvalues, lambda_param) * t / max(n_rejected, 1))
+    thresholds = np.asarray(t, dtype=float)
+    n_rejected = np.count_nonzero(pvalues <= thresholds[..., None], axis=-1)
+    estimate = np.minimum(_null_count(pvalues, lambda_param) * thresholds / np.maximum(n_rejected, 1), 1.0)
+    return float(estimate) if estimate.ndim == 0 else estimate
 
 
-def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
-    """Dispersion-variate FDP estimate, clipped to [0, 1].
+def efron_estimate(z: np.ndarray, t: float | np.ndarray, p0: int, x0: float = 1.0) -> float | np.ndarray:
+    """Dispersion-variate FDP estimate, clipped to [0, 1], and 0 where R(t) = 0.
 
     Correlation inflates or shrinks the spread of the null statistics; a
     scalar dispersion variate A captures this, giving the false-count model
@@ -262,14 +260,14 @@ def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
     band, and slope = v0 + h*(1 - x0^2) - 2h^2, the derivative of
     E[X^2 | |X| <= x0] with respect to Var X at 1; then
     A = (mean square - v0) / (sqrt(2)*slope). This recipe is a documented
-    stand-in, not a reproduction of Efron's own estimator for A.
+    stand-in, not a reproduction of Efron's own estimator for A. A 1-D array
+    t gives an array, one estimate per threshold, with A estimated once.
     """
     if x0 <= 0.0:
         raise ValueError(f"x0 must be positive, got {x0}")
+    thresholds = check_unit_interval(t, "threshold")
     z = np.asarray(z, dtype=float)
-    n_rejected = int(np.count_nonzero(two_sided_pvalue(z) <= t))
-    if n_rejected == 0:
-        return 0.0
+    n_rejected = np.count_nonzero(two_sided_pvalue(z) <= thresholds[..., None], axis=-1)
     central = z[np.abs(z) <= x0]
     if central.size == 0:
         a_hat = 0.0
@@ -278,6 +276,7 @@ def efron_estimate(z: np.ndarray, t: float, p0: int, x0: float = 1.0) -> float:
         v0 = 1.0 - 2.0 * h
         slope = v0 + h * (1.0 - x0 * x0) - 2.0 * h * h
         a_hat = (float(np.mean(np.square(central))) - v0) / (np.sqrt(2.0) * slope)
-    z_half = norm_quantile(0.5 * t)
-    est_false = p0 * t * (1.0 + 2.0 * a_hat * (-z_half) * norm_pdf(z_half) / (np.sqrt(2.0) * t))
-    return float(np.clip(est_false / n_rejected, 0.0, 1.0))
+    z_half = norm_quantile(0.5 * thresholds)
+    est_false = p0 * thresholds * (1.0 + 2.0 * a_hat * (-z_half) * norm_pdf(z_half) / (np.sqrt(2.0) * thresholds))
+    estimate = np.clip(np.divide(est_false, n_rejected, out=np.zeros_like(est_false), where=n_rejected > 0), 0.0, 1.0)
+    return float(estimate) if estimate.ndim == 0 else estimate

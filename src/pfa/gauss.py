@@ -27,14 +27,21 @@ def norm_pdf(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def norm_quantile(q: float) -> float:
-    """Inverse standard normal CDF for q strictly inside (0, 1)."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {q}")
-    return float(ndtri(q))
+def norm_quantile(q):
+    """Inverse standard normal CDF for q strictly inside (0, 1), elementwise; a float for a scalar q."""
+    q = check_unit_interval(q, "quantile argument")
+    return float(ndtri(q)) if q.ndim == 0 else ndtri(q)
 
 
 def two_sided_pvalue(z):
     """Two-sided p-value 2*Phi(-|z|) of a standard normal test statistic."""
     return 2.0 * ndtr(-np.abs(z))
+
+
+def check_unit_interval(values, name: str) -> np.ndarray:
+    """values as a float array, each strictly inside (0, 1); else a ValueError naming the first outside."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((values > 0.0) & (values < 1.0))
+    if np.any(outside):
+        raise ValueError(f"{name} must lie in (0, 1), got {float(values.flat[np.argmax(outside)])}")
+    return values

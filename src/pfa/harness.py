@@ -47,7 +47,7 @@ from .factors import (
     standard_factor_draws,
 )
 from .fdr import approx_fdr_curve, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
-from .gauss import two_sided_pvalue
+from .gauss import check_unit_interval, two_sided_pvalue
 from .lad import DEFAULT_FRACTION, FactorFit, lad_regress, select_calibration_set
 from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
 from .simulate import Scenario, check_ints, check_keys, check_reals, generate_design, real, realized_counts, standardize
@@ -133,8 +133,7 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", tuple(real("t_grid entry", t) for t in self.t_grid))
         if not self.t_grid:
             raise ValueError("t_grid must not be empty")
-        if any(not 0.0 < t < 1.0 for t in self.t_grid):
-            raise ValueError(f"every threshold must lie in (0, 1), got {self.t_grid}")
+        check_unit_interval(self.t_grid, "t_grid entry")
         _check_distinct("t_grid", self.t_grid)
         check_ints(self, "n_reps", "seed", "n_mc")
         check_reals(self, "epsilon", "calibration_fraction", "control_alpha")
@@ -149,10 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"n_mc must be at least 2, got {self.n_mc}")
         if not 0.0 < self.calibration_fraction <= 1.0:
             raise ValueError(f"calibration_fraction must lie in (0, 1], got {self.calibration_fraction}")
-        for name in ("epsilon", "control_alpha"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        check_unit_interval(self.epsilon, "epsilon")
+        if self.control_alpha is not None:
+            check_unit_interval(self.control_alpha, "control_alpha")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "t_grid": list(self.t_grid)}
@@ -252,10 +250,9 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
             columns[name][rep] = v / max(rejections.size, 1)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
-        for j, t in enumerate(config.t_grid):
-            columns["fdp_pfa"][rep, j] = estimate_fdp(t, z, state.model, fit.w_hat).fdp
-            columns["fdp_efron"][rep, j] = efron_estimate(z, t, config.scenario.p - config.scenario.p1)
-            columns["fdp_storey"][rep, j] = min(storey_estimate(pvalues, t), 1.0)
+        columns["fdp_pfa"][rep] = estimate_fdp(config.t_grid, z, state.model, fit.w_hat).fdp
+        columns["fdp_efron"][rep] = efron_estimate(z, config.t_grid, config.scenario.p - config.scenario.p1)
+        columns["fdp_storey"][rep] = storey_estimate(pvalues, config.t_grid)
         columns["lad_converged"][rep] = int(fit.converged)
         columns["lad_iterations"][rep] = fit.iterations
         columns["lad_objective"][rep] = fit.objective

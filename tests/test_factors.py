@@ -305,6 +305,28 @@ class TestEstimateFdp:
         assert report.fdp == pytest.approx(min(p * t, rejected) / rejected, rel=1e-9)
         assert 0.0 <= report.fdp <= 1.0
 
+    def test_scalar_thresholds_give_python_numbers(self):
+        model = exchangeable_model(20, 0.5)
+        z = np.concatenate([np.full(2, 9.0), np.zeros(18)])
+        for t in (0.001, 1e-30):  # two rejections, then none
+            report = estimate_fdp(t, z, model, np.array([0.3]))
+            assert (type(report.n_rejected), type(report.est_false_count), type(report.fdp)) == (int, float, float)
+
+    def test_a_grid_gives_one_entry_per_threshold(self):
+        model = exchangeable_model(20, 0.5)
+        z = np.concatenate([np.full(2, 9.0), np.zeros(18)])
+        grid = np.array([1e-30, 0.001, 0.5])
+        report = estimate_fdp(grid, z, model, np.array([0.3]))
+        singles = [estimate_fdp(t, z, model, np.array([0.3])) for t in grid]
+        assert report.n_rejected.tolist() == [0, 2, 2]
+        assert report.fdp.tolist() == [single.fdp for single in singles]
+        assert report.est_false_count.tolist() == [single.est_false_count for single in singles]
+
+    def test_a_threshold_outside_the_unit_interval_is_named(self):
+        model = exchangeable_model(20, 0.5)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got -0.2"):
+            estimate_fdp(np.array([0.01, -0.2, 1.5]), np.zeros(20), model, np.array([0.0]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(min_value=1e-4, max_value=0.5),

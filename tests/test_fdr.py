@@ -94,6 +94,8 @@ class TestApproxFdr:
         draws = standard_factor_draws(0, 10, 0)
         with pytest.raises(ValueError):
             approx_fdr(0.0, model, 1, draws)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got 0.0"):
+            approx_fdr_curve((0.01, 0.0, 2.0), model, 1, draws)
         with pytest.raises(ValueError):
             approx_fdr(0.1, model, 11, draws)
 
@@ -279,6 +281,11 @@ class TestStoreyEstimate:
         with pytest.raises(ValueError):
             storey_estimate(np.ones(5), 0.1, 1.0)
 
+    def test_capped_at_one(self):
+        # p0_hat = 20 and R(0.5) = 0, so p0_hat * t / (R v 1) = 10 before the cap
+        assert storey_estimate(np.full(20, 0.9), 0.5) == 1.0
+        assert storey_estimate(np.full(20, 0.9), np.array([0.001, 0.5])).tolist() == [20 * 0.001, 1.0]
+
     def test_returns_python_float(self):
         # 10 above lambda=0.5 -> p0_hat = 20 < p, so the cap does not fire
         pvalues = np.concatenate([np.full(10, 0.7), np.full(30, 0.01)])
@@ -388,6 +395,31 @@ class TestEfronEstimate:
     def test_x0_domain(self):
         with pytest.raises(ValueError):
             efron_estimate(np.ones(5), 0.1, 4, x0=0.0)
+
+    def test_a_grid_equals_one_threshold_calls_bit_for_bit(self):
+        # A narrow central band gives a negative dispersion that clips small thresholds to 0, a band of
+        # statistics all at +-x0 a positive one that clips them to 1; t = 1e-12 rejects nothing.
+        grid = np.array([1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.2, 0.6])
+        narrow = np.random.default_rng(10).standard_normal(2000) * 0.3
+        edge = np.where(np.arange(2000) % 2 == 0, 1.0, -1.0)
+        clipped = set()
+        for z in (narrow, edge):
+            z[:10] = 6.0
+            values = efron_estimate(z, grid, p0=1990)
+            assert values.tobytes() == np.array([efron_estimate(z, t, p0=1990) for t in grid]).tobytes()
+            rejected = np.count_nonzero(two_sided_pvalue(z) <= grid[:, None], axis=1)
+            assert rejected[0] == 0 and values[0] == 0.0
+            clipped.update(float(value) for value in values[rejected > 0] if value in (0.0, 1.0))
+        assert clipped == {0.0, 1.0}
+
+    def test_scalar_thresholds_give_python_floats(self):
+        z = np.concatenate([np.full(10, 6.0), np.random.default_rng(11).standard_normal(90)])
+        assert type(efron_estimate(z, 0.01, p0=90)) is float
+        assert type(efron_estimate(np.zeros(50), 1e-6, p0=50)) is float  # R = 0
+
+    def test_a_threshold_outside_the_unit_interval_is_named(self):
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got 1.5"):
+            efron_estimate(np.ones(5), np.array([0.01, 1.5, -0.2]), 4)
 
 
 def test_independent_statistics_estimators_agree():

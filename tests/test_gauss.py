@@ -58,6 +58,14 @@ def test_quantile_domain(q):
         norm_quantile(q)
 
 
+def test_quantile_of_an_array():
+    q = np.array([0.025, 0.5, 1e-12])
+    assert norm_quantile(q).tolist() == [norm_quantile(value) for value in q]
+    assert type(norm_quantile(0.025)) is float
+    with pytest.raises(ValueError, match=r"quantile argument must lie in \(0, 1\), got 1.0"):
+        norm_quantile(np.array([0.5, 1.0, 0.0]))
+
+
 def test_pdf_values():
     assert norm_pdf(0.0) == pytest.approx(0.39894228040143267794, abs=1e-15)
     assert norm_pdf(1.3) == pytest.approx(0.17136859204780735696, abs=1e-15)

@@ -10,13 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pfa.harness
-from pfa.factors import build_factor_model, fdp_limit, select_num_factors
+from pfa.factors import build_factor_model, estimate_fdp, fdp_limit, select_num_factors
+from pfa.fdr import efron_estimate, storey_estimate
+from pfa.gauss import two_sided_pvalue
 from pfa.harness import (
     _NS_DESIGN,
     _NS_LIMIT,
     _NS_REPLICATION,
     ExperimentConfig,
     _draw_statistics,
+    _fit_factors,
     _line_count,
     _scan_csv,
     load_output,
@@ -217,6 +220,49 @@ class TestDrawStatistics:
         noise = substream(config.seed, _NS_REPLICATION, *key).standard_normal((config.n_reps, config.scenario.n))
         drawn = np.concatenate([z for _, z in _draw_statistics(config, state, chunk_size)])
         np.testing.assert_array_equal(drawn, state.mu + noise @ state.x)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestEstimatorGrids:
+    """Each estimator takes a replication's whole threshold grid in one call."""
+
+    GRID = (1e-12, 1e-7, 1e-4, 0.001, 0.01, 0.05, 0.2, 0.5)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_a_grid_call_equals_one_threshold_calls_bit_for_bit(self, kind):
+        config = small_config(scenario=Scenario(kind=kind, p=300, n=60, p1=15), t_grid=self.GRID, seed=7)
+        state = prepare_scenario(config)
+        p0, grid = config.scenario.p - config.scenario.p1, np.array(self.GRID)
+        _, statistics = next(_draw_statistics(config, state))
+        # Two draws, and the first without its mean shifts: there t = 1e-12 rejects nothing.
+        for z in (*statistics[:2], statistics[0] - state.mu):
+            fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
+            report = estimate_fdp(grid, z, state.model, fit.w_hat)
+            singles = [estimate_fdp(t, z, state.model, fit.w_hat) for t in self.GRID]
+            assert report.n_rejected.tolist() == [single.n_rejected for single in singles]
+            assert bits(report.est_false_count) == bits([single.est_false_count for single in singles])
+            assert bits(report.fdp) == bits([single.fdp for single in singles])
+            assert bits(efron_estimate(z, grid, p0)) == bits([efron_estimate(z, t, p0) for t in self.GRID])
+            pvalues = two_sided_pvalue(z)
+            assert bits(storey_estimate(pvalues, grid)) == bits([storey_estimate(pvalues, t) for t in self.GRID])
+        assert report.n_rejected[0] == 0
+
+    def test_one_call_per_estimator_per_replication(self, monkeypatch):
+        calls = []
+        for name in ("estimate_fdp", "efron_estimate", "storey_estimate"):
+            def spy(*args, _name=name, _original=getattr(pfa.harness, name), **kwargs):
+                calls.append((_name, len(args[0] if _name == "estimate_fdp" else args[1])))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pfa.harness, name, spy)
+        config = small_config(t_grid=(0.001, 0.01, 0.05))
+        run_experiment(config)
+        assert sorted(calls) == sorted(
+            (name, 3) for name in ("estimate_fdp", "efron_estimate", "storey_estimate") for _ in range(config.n_reps)
+        )
 
 
 class TestRunExperiment:
