@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .factors import DEFAULT_EPSILON, DEFAULT_N_MC, build_factor_model, select_num_factors, standard_factor_draws
+from .factors import DEFAULT_EPSILON, DEFAULT_N_MC, standard_factor_draws
 from .fdr import DEFAULT_TOL, UnreachableAlphaError, solve_threshold
 from .harness import (
     ExperimentConfig,
     convergence_configs,
+    factor_model,
     json_text,
     read_matrix_csv,
     read_vector_csv,
@@ -33,7 +34,7 @@ from .harness import (
     run_experiment,
     write_output,
 )
-from .lad import DEFAULT_FRACTION, RankDeficientError, TooManyFactorsError, ZeroEigenvalueError
+from .lad import DEFAULT_FRACTION, RankDeficientError, TooManyFactorsError
 from .linalg import CorrelationMatrix, NotPSDError, NotSymmetricError, spectral_decompose
 from .simulate import Scenario, check_keys
 
@@ -122,13 +123,10 @@ def _cmd_control(args: argparse.Namespace) -> int:
     _require(args.seed >= 0, f"seed must not be negative, got {args.seed}")
     sigma = read_matrix_csv(args.sigma)
     _require(args.p1 <= sigma.dim, f"{args.sigma}: p1 is {args.p1} but the matrix has dimension {sigma.dim}")
-    system = spectral_decompose(sigma, args.epsilon)
-    k = select_num_factors(system, args.epsilon)
-    tail_energy = system.tail_energy(k)
-    model = build_factor_model(system, k)
-    # Both can hold a p x p array (the system on the full decomposition), which would sit under the solve's peak.
-    del sigma, system
-    draws = standard_factor_draws(k, args.mc, args.seed)
+    # The decomposition can hold a p x p array, as sigma does; neither may sit under the solve's peak.
+    model, tail_energy = factor_model(spectral_decompose(sigma, args.epsilon), args.epsilon)
+    del sigma
+    draws = standard_factor_draws(model.k, args.mc, args.seed)
     try:
         result = solve_threshold(args.alpha, model, args.p1, draws, tol=args.tol)
     except UnreachableAlphaError as exc:
@@ -152,7 +150,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
             "fdr_at_t": result.fdr_at_t,
             "mc_draws": args.mc,
             "seed": args.seed,
-            "k": k,
+            "k": model.k,
             "tail_energy_at_k": tail_energy,
             "p1": args.p1,
             "curve": [{"t": t, "fdr": fdr} for t, fdr in result.curve],
@@ -235,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotSymmetricError, NotPSDError) as exc:
         sys.stderr.write(f"error: invalid correlation matrix: {exc}\n")
         return EXIT_INPUT
-    except (RankDeficientError, ZeroEigenvalueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (RankDeficientError, np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:

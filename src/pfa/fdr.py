@@ -11,8 +11,9 @@ Baselines: Benjamini-Hochberg step-up, Storey's fixed-threshold estimate
 and his adaptive step-up, and a dispersion-variate estimate in the style of
 Efron (2007), whose recipe for the dispersion variate is not reproduced
 here (see `efron_estimate` for the moment-matching stand-in used instead).
-Both estimates take one threshold or a 1-D array of them, as
-`factors.estimate_fdp` does, and are capped at 1.
+Both step-up procedures return the rejected indices as a sorted intp array.
+Both estimates take one threshold or a 1-D array of them, each strictly
+inside (0, 1), as `factors.estimate_fdp` does, and are capped at 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .gauss import check_unit_interval, norm_pdf, norm_quantile, two_sided_pvalu
 __all__ = [
     "UnreachableAlphaError",
     "ControlResult",
-    "RejectionSet",
     "approx_fdr",
     "approx_fdr_curve",
     "solve_threshold",
@@ -74,22 +74,6 @@ class ControlResult:
     curve: tuple[tuple[float, float], ...]
     evaluations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class RejectionSet:
-    """Indices a step-up procedure rejects, and its threshold.
-
-    The rejections are exactly the p-values at or below `threshold`, the
-    largest rejected p-value (0.0 when none is rejected).
-    """
-
-    indices: np.ndarray
-    threshold: float
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
 
 
 def approx_fdr(t: float, model: FactorModel, p1: int, draws: np.ndarray) -> float:
@@ -203,20 +187,17 @@ def _logit(fdr: float) -> float:
         return float(np.log(fdr) - np.log1p(-fdr))
 
 
-def _step_up(pvalues: np.ndarray, alpha: float, null_count: float) -> RejectionSet:
-    """Reject through the largest order statistic P_(i) <= alpha * i / null_count."""
+def _step_up(pvalues: np.ndarray, alpha: float, null_count: float) -> np.ndarray:
+    """Sorted indices of the p-values at or below the largest order statistic P_(i) <= alpha * i / null_count."""
     sorted_p = np.sort(pvalues)
     with np.errstate(divide="ignore"):  # a null count of 0 makes every bar infinite
         bars = alpha * np.arange(1, pvalues.shape[0] + 1) / null_count
     passing = np.flatnonzero(sorted_p <= bars)
-    if passing.size == 0:
-        return RejectionSet(indices=np.empty(0, dtype=np.intp), threshold=0.0)
-    threshold = float(sorted_p[passing[-1]])
-    return RejectionSet(indices=np.flatnonzero(pvalues <= threshold), threshold=threshold)
+    return np.flatnonzero(pvalues <= sorted_p[passing[-1]]) if passing.size else np.empty(0, dtype=np.intp)
 
 
-def bh_procedure(pvalues: np.ndarray, alpha: float) -> RejectionSet:
-    """Benjamini-Hochberg step-up at level alpha."""
+def bh_procedure(pvalues: np.ndarray, alpha: float) -> np.ndarray:
+    """Benjamini-Hochberg step-up at level alpha: the rejected indices, sorted."""
     pvalues = np.asarray(pvalues, dtype=float)
     return _step_up(pvalues, alpha, pvalues.shape[0])
 
@@ -227,8 +208,8 @@ def _null_count(pvalues: np.ndarray, lambda_param: float) -> float:
     return min(np.count_nonzero(pvalues > lambda_param) / (1.0 - lambda_param), float(pvalues.shape[0]))
 
 
-def storey_procedure(pvalues: np.ndarray, alpha: float, lambda_param: float = 0.5) -> RejectionSet:
-    """Storey's adaptive step-up at level alpha: B-H with p replaced by p0_hat.
+def storey_procedure(pvalues: np.ndarray, alpha: float, lambda_param: float = 0.5) -> np.ndarray:
+    """Storey's adaptive step-up at level alpha: B-H with p replaced by p0_hat; the rejected indices, sorted.
 
     Since p0_hat <= p, each bar alpha * i / p0_hat is at least B-H's (the
     same float when the cap fires), so the rejections include B-H's.
@@ -239,8 +220,8 @@ def storey_procedure(pvalues: np.ndarray, alpha: float, lambda_param: float = 0.
 
 def storey_estimate(pvalues: np.ndarray, t: float | np.ndarray, lambda_param: float = 0.5) -> float | np.ndarray:
     """Storey's fixed-threshold FDR estimate p0_hat * t / (R(t) v 1), capped at 1; one per entry of a 1-D t."""
+    thresholds = check_unit_interval(t, "threshold")
     pvalues = np.asarray(pvalues, dtype=float)
-    thresholds = np.asarray(t, dtype=float)
     n_rejected = np.count_nonzero(pvalues <= thresholds[..., None], axis=-1)
     estimate = np.minimum(_null_count(pvalues, lambda_param) * thresholds / np.maximum(n_rejected, 1), 1.0)
     return float(estimate) if estimate.ndim == 0 else estimate

@@ -49,7 +49,7 @@ from .factors import (
 from .fdr import approx_fdr_curve, bh_procedure, efron_estimate, mean_fdr, storey_estimate, storey_procedure
 from .gauss import check_unit_interval, two_sided_pvalue
 from .lad import DEFAULT_FRACTION, FactorFit, lad_regress, select_calibration_set
-from .linalg import CorrelationMatrix, gram_spectrum, spectral_decompose
+from .linalg import CorrelationMatrix, EigenSystem, gram_spectrum, spectral_decompose
 from .simulate import Scenario, check_ints, check_keys, check_reals, generate_design, real, realized_counts, standardize
 
 __all__ = [
@@ -200,6 +200,12 @@ class ExperimentOutput:
         return [dict(zip(RECORD_COLUMNS, row)) for row in self._rows()]
 
 
+def factor_model(system: EigenSystem, epsilon: float) -> tuple[FactorModel, float]:
+    """The factor model at the k `select_num_factors` picks for epsilon, and the tail energy at that k."""
+    k = select_num_factors(system, epsilon)
+    return build_factor_model(system, k), system.tail_energy(k)
+
+
 def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> ScenarioState:
     """Draw the design, build the factor model, shift the false nulls, the first p1 indices.
 
@@ -209,13 +215,11 @@ def prepare_scenario(config: ExperimentConfig, key: tuple[int, ...] = ()) -> Sce
     """
     standardized, sds = standardize(generate_design(config.scenario, substream(config.seed, _NS_DESIGN, *key)))
     x = standardized / np.sqrt(config.scenario.n - 1)
-    system = gram_spectrum(x)
-    k = select_num_factors(system, config.epsilon)
-    model = build_factor_model(system, k)
+    model, tail_energy = factor_model(gram_spectrum(x), config.epsilon)
     p1 = config.scenario.p1
     mu = np.zeros(config.scenario.p)
     mu[:p1] = np.sqrt(config.scenario.n) * config.scenario.beta * sds[:p1] / config.scenario.sigma
-    return ScenarioState(key=tuple(key), x=x, model=model, tail_energy=system.tail_energy(k), mu=mu)
+    return ScenarioState(key=tuple(key), x=x, model=model, tail_energy=tail_energy, mu=mu)
 
 
 def _fit_factors(model: FactorModel, z: np.ndarray, fraction: float) -> tuple[FactorFit, int]:
@@ -245,9 +249,9 @@ def _fill_replication(config: ExperimentConfig, state: ScenarioState, rep: int, 
     pvalues = two_sided_pvalue(z)
     if config.control_alpha is not None:
         for name, procedure in (("fdp_bh_proc", bh_procedure), ("fdp_storey_proc", storey_procedure)):
-            rejections = procedure(pvalues, config.control_alpha)
-            v = np.count_nonzero(rejections.indices >= config.scenario.p1)  # the true nulls, from p1 on
-            columns[name][rep] = v / max(rejections.size, 1)
+            rejected = procedure(pvalues, config.control_alpha)
+            v = np.count_nonzero(rejected >= config.scenario.p1)  # the true nulls, from p1 on
+            columns[name][rep] = v / max(rejected.size, 1)
     if config.with_estimators:
         fit, _ = _fit_factors(state.model, z, config.calibration_fraction)
         columns["fdp_pfa"][rep] = estimate_fdp(config.t_grid, z, state.model, fit.w_hat).fdp
@@ -465,12 +469,8 @@ def run_estimate(
     z = np.asarray(z, dtype=float)
     if z.shape[0] != sigma.dim:
         raise ValueError(f"z has length {z.shape[0]} but the matrix has dimension {sigma.dim}")
-    system = spectral_decompose(sigma, epsilon)
+    model, tail_energy = factor_model(spectral_decompose(sigma, epsilon), epsilon)
     del sigma
-    k = select_num_factors(system, epsilon)
-    tail_energy = system.tail_energy(k)
-    model = build_factor_model(system, k)
-    del system
     fit, m = _fit_factors(model, z, fraction)
     report = estimate_fdp(t, z, model, fit.w_hat)
     return {
@@ -478,7 +478,7 @@ def run_estimate(
         "t": t,
         "epsilon": epsilon,
         "fraction": fraction,
-        "k": k,
+        "k": model.k,
         "tail_energy_at_k": tail_energy,
         "m": m,
         "w_hat": fit.w_hat.tolist(),

@@ -288,16 +288,16 @@ def test_criterion_7_lad_matches_grid_oracle():
 
 
 def test_criterion_7_bh_matches_exhaustive_scan():
-    from test_fdr import bh_exhaustive_oracle
+    from test_fdr import assert_step_up_form, bh_exhaustive_oracle
 
     rng = np.random.default_rng(717)
     for _ in range(100):
         p = int(rng.integers(1, 51))
         pvalues = rng.uniform(size=p) ** rng.uniform(0.5, 3.0)
         alpha = float(rng.uniform(0.01, 0.3))
-        got = np.sort(bh_procedure(pvalues, alpha).indices)
-        want = np.sort(bh_exhaustive_oracle(pvalues, alpha))
-        np.testing.assert_array_equal(got, want)
+        got = bh_procedure(pvalues, alpha)
+        assert_step_up_form(got, pvalues)
+        np.testing.assert_array_equal(got, bh_exhaustive_oracle(pvalues, alpha))
     report("criterion-7[bh-scan]", True, "exact match on 100 instances")
 
 

@@ -51,6 +51,13 @@ def storey_exhaustive_oracle(pvalues, alpha, lambda_param):
     return np.flatnonzero(pvalues <= cutoff)
 
 
+def assert_step_up_form(rejected, pvalues):
+    """A step-up result: a sorted intp array of exactly the p-values at or below its largest rejected one."""
+    assert rejected.dtype == np.intp and rejected.ndim == 1
+    cutoff = pvalues[rejected].max() if rejected.size else -np.inf
+    np.testing.assert_array_equal(rejected, np.flatnonzero(pvalues <= cutoff))
+
+
 def efron_quadrature_oracle(z, t, p0, x0):
     """Dispersion-variate estimate with the band constants by quadrature and a central difference."""
 
@@ -229,17 +236,19 @@ class TestSolveThreshold:
 
 class TestBhProcedure:
     def test_hand_example(self):
-        result = bh_procedure(np.array([0.001, 0.02, 0.9]), 0.05)
-        np.testing.assert_array_equal(np.sort(result.indices), [0, 1])
+        pvalues = np.array([0.02, 0.9, 0.001])
+        result = bh_procedure(pvalues, 0.05)
+        np.testing.assert_array_equal(result, [0, 2])
+        assert_step_up_form(result, pvalues)
 
     def test_all_ones_rejects_nothing(self):
         result = bh_procedure(np.ones(10), 0.05)
-        assert result.size == 0
-        assert result.threshold == 0.0
+        assert result.dtype == np.intp and result.shape == (0,)
 
     def test_all_zeros_rejects_everything(self):
         result = bh_procedure(np.zeros(7), 0.05)
-        np.testing.assert_array_equal(np.sort(result.indices), np.arange(7))
+        np.testing.assert_array_equal(result, np.arange(7))
+        assert_step_up_form(result, np.zeros(7))
 
     def test_matches_exhaustive_oracle_on_random_inputs(self):
         rng = np.random.default_rng(12)
@@ -247,9 +256,9 @@ class TestBhProcedure:
             p = int(rng.integers(1, 51))
             pvalues = rng.uniform(size=p) ** rng.uniform(0.5, 3.0)
             alpha = float(rng.uniform(0.01, 0.3))
-            got = np.sort(bh_procedure(pvalues, alpha).indices)
-            want = np.sort(bh_exhaustive_oracle(pvalues, alpha))
-            np.testing.assert_array_equal(got, want)
+            got = bh_procedure(pvalues, alpha)
+            assert_step_up_form(got, pvalues)
+            np.testing.assert_array_equal(got, bh_exhaustive_oracle(pvalues, alpha))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -258,9 +267,9 @@ class TestBhProcedure:
     )
     def test_oracle_property(self, pvalues, alpha):
         pvalues = np.asarray(pvalues)
-        got = np.sort(bh_procedure(pvalues, alpha).indices)
-        want = np.sort(bh_exhaustive_oracle(pvalues, alpha))
-        np.testing.assert_array_equal(got, want)
+        got = bh_procedure(pvalues, alpha)
+        assert_step_up_form(got, pvalues)
+        np.testing.assert_array_equal(got, bh_exhaustive_oracle(pvalues, alpha))
 
 
 class TestStoreyEstimate:
@@ -275,7 +284,12 @@ class TestStoreyEstimate:
         assert storey_estimate(pvalues, 0.001, 0.5) == pytest.approx(expected)
 
     def test_zero_threshold(self):
-        assert storey_estimate(np.random.default_rng(0).uniform(size=50), 0.0, 0.5) == 0.0
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got 0.0"):
+            storey_estimate(np.random.default_rng(0).uniform(size=50), 0.0, 0.5)
+
+    def test_a_threshold_outside_the_unit_interval_is_named(self):
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got -0.2"):
+            storey_estimate(np.full(20, 0.9), np.array([0.3, -0.2, 0.0]))
 
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
@@ -303,26 +317,27 @@ class TestStoreyProcedure:
             alpha = float(rng.uniform(0.01, 0.3))
             lambda_param = float(rng.uniform(0.1, 0.9))
             got = storey_procedure(pvalues, alpha, lambda_param)
-            np.testing.assert_array_equal(np.sort(got.indices), storey_exhaustive_oracle(pvalues, alpha, lambda_param))
-            assert np.all(pvalues[got.indices] <= got.threshold)
+            assert_step_up_form(got, pvalues)
+            np.testing.assert_array_equal(got, storey_exhaustive_oracle(pvalues, alpha, lambda_param))
 
     def test_no_threshold_qualifies(self):
         # every p-value above lambda -> p0_hat = p, and p * 0.9 / i > alpha for all i
         result = storey_procedure(np.full(10, 0.9), 0.05, 0.5)
-        assert result.size == 0
-        assert result.threshold == 0.0
+        assert result.dtype == np.intp and result.shape == (0,)
         assert storey_exhaustive_oracle(np.full(10, 0.9), 0.05, 0.5).size == 0
 
     def test_underflowed_pvalues_are_rejected(self):
         pvalues = two_sided_pvalue(np.array([50.0, -45.0, 0.3, 1.2, 2.0, 0.1]))
         assert np.count_nonzero(pvalues == 0.0) == 2
         result = storey_procedure(pvalues, 0.1, 0.5)
-        np.testing.assert_array_equal(np.sort(result.indices), storey_exhaustive_oracle(pvalues, 0.1, 0.5))
-        assert {0, 1} <= set(result.indices.tolist())
+        assert_step_up_form(result, pvalues)
+        np.testing.assert_array_equal(result, storey_exhaustive_oracle(pvalues, 0.1, 0.5))
+        assert {0, 1} <= set(result.tolist())
 
     def test_zero_null_count_rejects_everything(self):
         result = storey_procedure(np.full(5, 0.2), 0.05, 0.5)
-        np.testing.assert_array_equal(np.sort(result.indices), np.arange(5))
+        np.testing.assert_array_equal(result, np.arange(5))
+        assert_step_up_form(result, np.full(5, 0.2))
 
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
@@ -338,8 +353,8 @@ class TestStoreyProcedure:
         # p0_hat is capped at p, so each Storey bar alpha * i / p0_hat is at
         # least B-H's alpha * i / p
         pvalues = np.asarray(pvalues)
-        bh = set(bh_procedure(pvalues, alpha).indices.tolist())
-        storey = set(storey_procedure(pvalues, alpha, lambda_param).indices.tolist())
+        bh = set(bh_procedure(pvalues, alpha).tolist())
+        storey = set(storey_procedure(pvalues, alpha, lambda_param).tolist())
         assert bh <= storey
 
     def test_rejections_include_bh_at_exact_bh_bars(self):
@@ -350,8 +365,8 @@ class TestStoreyProcedure:
             alpha = float(rng.uniform(0.01, 0.5))
             bars = alpha * np.arange(1, p + 1) / p
             pvalues = np.where(rng.uniform(size=p) < 0.5, bars, rng.uniform(size=p))
-            bh = set(bh_procedure(pvalues, alpha).indices.tolist())
-            assert bh <= set(storey_procedure(pvalues, alpha, 0.5).indices.tolist())
+            bh = set(bh_procedure(pvalues, alpha).tolist())
+            assert bh <= set(storey_procedure(pvalues, alpha, 0.5).tolist())
 
 
 class TestEfronEstimate:
